@@ -31,8 +31,6 @@ from .integrator import (
     InfeasibleScheduleError,
     TemperatureReport,
     TemperatureSchedule,
-    bbk_first_step,
-    bbk_step,
     measure_kinetic_temperature,
     predicted_intermediate_variance,
     predicted_kinetic_temperature,

@@ -898,7 +898,7 @@ def _run_parareal(
         k_max=cfg.k_max,
     )
     engine = parareal_adaptive if adaptive else parareal_classic
-    result = engine(cfg.initial, pair, cfg.params, cfg.schedule, plan, config, workers=workers)
+    result = engine(cfg.initial, pair, cfg.params, cfg.schedule, plan, config)
 
     traj_path = out_dir / "trajectory.csv"
     write_trajectory_csv(result.trajectory, traj_path, cfg.params.window_dt)
@@ -948,9 +948,7 @@ def _run_sweep(
                     delta_expl=delta_expl,
                     k_max=cfg.k_max,
                 )
-                result = parareal_adaptive(
-                    cfg.initial, pair, params, cfg.schedule, plan, config, workers=workers
-                )
+                result = parareal_adaptive(cfg.initial, pair, params, cfg.schedule, plan, config)
                 if not result.converged:
                     raise _NonConvergenceAbort(
                         f"sweep combination dt={dt}, delta_conv={delta_conv}, "
@@ -1014,9 +1012,7 @@ def _run_ensemble(
         fine_traj = sequential_propagate(
             state, spec.segment_windows, pair.fine, cfg.params, cfg.schedule, segment_plan
         )
-        result = parareal_adaptive(
-            state, pair, cfg.params, cfg.schedule, segment_plan, config, workers=1
-        )
+        result = parareal_adaptive(state, pair, cfg.params, cfg.schedule, segment_plan, config)
         return fine_traj, result
 
     if workers > 1:
@@ -1119,7 +1115,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--workers",
                 type=int,
                 default=1,
-                help="worker threads (affects speed only, never results)",
+                help="threads for ensemble members; the other commands accept it "
+                "and run serially (results never depend on it)",
             )
     return parser
 

@@ -170,90 +170,12 @@ def _check_bounded(q: np.ndarray, p: np.ndarray, substep: int) -> None:
         )
 
 
-def _first_kernel(q, p, grad_q, grad_fn, gamma, dt, mass, amp0, amp1, g0, g1):
-    p_half = p - 0.5 * dt * grad_q - 0.5 * dt * gamma * p + amp0 * g0
-    q1 = q + dt * (p_half / mass)
-    grad_q1 = grad_fn(q1)
-    p1 = p_half - 0.5 * dt * grad_q1 - 0.5 * dt * gamma * p_half + amp1 * g1
-    return q1, p1, p_half, grad_q1
-
-
 def _step_kernel(q, p, p_half_prev, grad_q, grad_fn, gamma, dt, mass, amp_l, amp_lp1, g_l, g_lp1):
     p_half = p - 0.5 * dt * grad_q - 0.5 * dt * gamma * p_half_prev + amp_l * g_l
     q1 = q + dt * (p_half / mass)
     grad_q1 = grad_fn(q1)
     p1 = p_half - 0.5 * dt * grad_q1 - 0.5 * dt * gamma * p_half + amp_lp1 * g_lp1
     return q1, p1, p_half, grad_q1
-
-
-def bbk_first_step(
-    state: PhaseState,
-    pot: Potential,
-    params: LangevinParams,
-    c0: float,
-    c1: float,
-    g0: np.ndarray,
-    g1: np.ndarray,
-) -> tuple[PhaseState, np.ndarray]:
-    """First substep of a window; friction acts on the full-step momentum.
-
-    Returns the new state and the half-step momentum ``p_half`` needed to
-    chain :func:`bbk_step`.
-    """
-    g0 = np.asarray(g0, dtype=float)
-    g1 = np.asarray(g1, dtype=float)
-    mass = params.mass_vector(state.dim)
-    sqrt_m = np.sqrt(mass)
-    q1, p1, p_half, _ = _first_kernel(
-        state.q,
-        state.p,
-        pot.gradient(state.q),
-        pot.gradient,
-        params.gamma,
-        params.dt,
-        mass,
-        _amplitude(params, c0) * sqrt_m,
-        _amplitude(params, c1) * sqrt_m,
-        g0,
-        g1,
-    )
-    return PhaseState(q=q1, p=p1), p_half
-
-
-def bbk_step(
-    state: PhaseState,
-    p_half: np.ndarray,
-    pot: Potential,
-    params: LangevinParams,
-    c_l: float,
-    c_lp1: float,
-    g_l: np.ndarray,
-    g_lp1: np.ndarray,
-) -> tuple[PhaseState, np.ndarray]:
-    """Subsequent substep; friction of the opening half-kick acts on ``p_half``.
-
-    ``g_l`` must be the same block that closed the previous substep (it is
-    reused with an identical amplitude); ``g_lp1`` is the one fresh block.
-    """
-    g_l = np.asarray(g_l, dtype=float)
-    g_lp1 = np.asarray(g_lp1, dtype=float)
-    mass = params.mass_vector(state.dim)
-    sqrt_m = np.sqrt(mass)
-    q1, p1, p_half_next, _ = _step_kernel(
-        state.q,
-        state.p,
-        np.asarray(p_half, dtype=float),
-        pot.gradient(state.q),
-        pot.gradient,
-        params.gamma,
-        params.dt,
-        mass,
-        _amplitude(params, c_l) * sqrt_m,
-        _amplitude(params, c_lp1) * sqrt_m,
-        g_l,
-        g_lp1,
-    )
-    return PhaseState(q=q1, p=p1), p_half_next
 
 
 def _window_kernel(state, pot, params, schedule, seed, record):
@@ -270,15 +192,11 @@ def _window_kernel(state, pot, params, schedule, seed, record):
     gamma, dt = params.gamma, params.dt
     recorded = np.empty((n_sub, d)) if record else None
 
+    # the opening substep's friction acts on the full-step momentum itself
     q, p = state.q, state.p
+    p_half = p
     grad_q = pot.gradient(q)
-    q, p, p_half, grad_q = _first_kernel(
-        q, p, grad_q, pot.gradient, gamma, dt, mass, amps[0], amps[1], noise[0], noise[1]
-    )
-    _check_bounded(q, p, substep=1)
-    if record:
-        recorded[0] = p
-    for l in range(1, n_sub):
+    for l in range(n_sub):
         q, p, p_half, grad_q = _step_kernel(
             q, p, p_half, grad_q, pot.gradient, gamma, dt, mass,
             amps[l], amps[l + 1], noise[l], noise[l + 1],
@@ -306,11 +224,6 @@ def propagate_window(
     """
     end, _ = _window_kernel(state, pot, params, schedule, seed, record=False)
     return end
-
-
-def _propagate_window_momenta(state, pot, params, schedule, seed):
-    """Window propagation that also reports the full-step momenta p_1..p_L."""
-    return _window_kernel(state, pot, params, schedule, seed, record=True)
 
 
 def predicted_kinetic_temperature(substeps: int, inv_beta: float) -> float:
@@ -361,9 +274,7 @@ def _measure_chain(pot, params, schedule, n_windows, master_seed, n_burn, d, mas
     s2 = np.zeros((n_sub, d))
     count = 0
     for n in range(n_windows):
-        state, momenta = _propagate_window_momenta(
-            state, pot, params, schedule, int(seeds[n])
-        )
+        state, momenta = _window_kernel(state, pot, params, schedule, int(seeds[n]), record=True)
         if n >= n_burn:
             s1 += momenta
             s2 += momenta * momenta
@@ -404,10 +315,10 @@ def _measure_free(params, schedule, n_windows, master_seed, n_burn, d, mass):
     chunk = max(1, int(4_194_304 // ((n_sub + 1) * d)))
     p_end = np.zeros(d)
     zi = (a * p_end)[None, :]
+    seeds = derive_seeds(master_seed, n_windows)
     for n0 in range(0, n_windows, chunk):
         n1 = min(n0 + chunk, n_windows)
-        seeds = derive_seeds(master_seed, n1)[n0:]
-        noise = gaussian_streams(seeds, (n_sub + 1) * d).reshape(-1, n_sub + 1, d)
+        noise = gaussian_streams(seeds[n0:n1], (n_sub + 1) * d).reshape(-1, n_sub + 1, d)
         scaled = noise * amp[None, :, :]
         w = np.einsum("j,bjd->bd", wcoef, scaled)
         p_l_series, zi = lfilter([1.0], [1.0, -a], w, axis=0, zi=zi)

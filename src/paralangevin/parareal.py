@@ -1,42 +1,44 @@
-"""Parallel-in-time propagation: classic parareal and an adaptive variant.
+"""Parallel-in-time propagation: adaptive parareal and its classic special case.
 
-The classic method bootstraps a trajectory with the cheap coarse propagator
-and then iterates: jump terms (fine minus coarse, one per window) are
-computed in parallel from the previous iterate, and a sequential corrected
+Parareal bootstraps a trajectory with the cheap coarse propagator and then
+iterates: jump terms (fine minus coarse, one per window) are computed from
+the previous iterate, independently per window, and a sequential corrected
 coarse sweep folds them in.  Each iteration extends the exactly-converged
 prefix by at least one window, so N windows converge in at most N
 iterations.
 
-The adaptive variant watches a running relative error during the sweep.
+The adaptive method watches a running relative error during the sweep.
 When the error leaves the trusted band it gives up on the full range,
 truncates the current time-slab just before the offending window, and keeps
 iterating on the shortened slab; once a slab converges the next one opens
 from its endpoint.  Slab bookkeeping (attempt endpoints and per-attempt
-iteration counts) is preserved for cost accounting.
+iteration counts) is preserved for cost accounting.  Classic parareal is the
+same loop without an explosion threshold: one slab, one attempt, over the
+whole range.
 
 Two conventions matter for reproducibility:
 
 * The error metric compares positions only, one Euclidean norm per node,
-  accumulated left to right; the running error of the adaptive sweep is
-  bitwise identical to recomputing the sums from scratch at every node.
+  accumulated left to right; the running error of the sweep is bitwise
+  identical to recomputing the sums from scratch at every node.
 * The corrected value is evaluated exactly as ``coarse(state) + jump`` with
   the jump formed first, so a degenerate pair (coarse identical to fine)
   cancels to the coarse trajectory up to floating-point zeros and converges
   in one iteration.
 
-Both engines take the propagators as plain callables ``(state, m) ->
-PhaseState`` where ``m`` is the 0-based window index, so scripted
-propagators can be tested against hand-executed traces; the ``parareal_*``
-wrappers bind potential-driven window propagation with a shared noise plan
-(fine and coarse consume the same seed for the same window, at every
-iteration).
+The ``*_engine`` functions take the propagators as plain callables
+``(state, m) -> PhaseState`` where ``m`` is the 0-based window index, so
+scripted propagators can be tested against hand-executed traces; the
+``parareal_*`` wrappers bind potential-driven window propagation with a
+shared noise plan (fine and coarse consume the same seed for the same
+window, at every iteration).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -148,9 +150,11 @@ class PararealResult:
     """Outcome of a parareal run.
 
     ``error_history`` holds (slab index, iteration within the slab, error)
-    triples: one entry per sweep for the classic engine, one per node update
-    for the adaptive engine.  ``iterates`` optionally keeps the trajectory
-    after the bootstrap and after every sweep (classic engine only).
+    triples, one per node update of every sweep.  Classic parareal (the
+    adaptive loop without an explosion threshold, so always one slab) keeps
+    only the entry of each sweep's last node: the error of the whole sweep.
+    ``iterates`` optionally keeps the trajectory after the bootstrap and
+    after every sweep (classic engine only).
     """
 
     trajectory: NodeTrajectory
@@ -240,6 +244,11 @@ def _call(prop: WindowPropagator, state: PhaseState, m: int, iteration: int) -> 
         raise
 
 
+def _check_plan(plan: NoisePlan, n_windows: int) -> None:
+    if plan.n_windows < n_windows:
+        raise ValueError(f"noise plan covers {plan.n_windows} windows, need {n_windows}")
+
+
 def sequential_propagate(
     initial: PhaseState,
     n_windows: int,
@@ -251,10 +260,7 @@ def sequential_propagate(
     """Chain ``n_windows`` fine windows; node n+1 uses the plan's seed n+1."""
     if n_windows < 0:
         raise ValueError(f"n_windows must be >= 0, got {n_windows}")
-    if plan.n_windows < n_windows:
-        raise ValueError(
-            f"noise plan covers {plan.n_windows} windows, need {n_windows}"
-        )
+    _check_plan(plan, n_windows)
     states = [initial]
     for m in range(n_windows):
         try:
@@ -267,23 +273,18 @@ def sequential_propagate(
     return NodeTrajectory(tuple(states))
 
 
-def _compute_jumps(fine, coarse, states, window_indices, iteration, workers):
-    """Jump terms fine(state) - coarse(state), one per window, order-stable.
+def _compute_jumps(fine, coarse, states, window_indices, iteration):
+    """Jump terms fine(state) - coarse(state), one per window, in window order.
 
-    Dispatch order never affects values: each jump is a pure function of its
-    own window's state and results are gathered by index.
+    Each jump is a pure function of its own window's state, so the windows
+    are independent: this is the stage that parallelises in time.
     """
-
-    def one(m: int):
+    jumps = []
+    for m in window_indices:
         f = _call(fine, states[m], m, iteration)
         c = _call(coarse, states[m], m, iteration)
-        return f.q - c.q, f.p - c.p
-
-    ms = list(window_indices)
-    if workers is not None and workers > 1 and len(ms) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, ms))
-    return [one(m) for m in ms]
+        jumps.append((f.q - c.q, f.p - c.p))
+    return jumps
 
 
 def _corrected(coarse, state, m, iteration, jump):
@@ -307,87 +308,33 @@ def _close_attempt(attempts, n_init, n_final, iterations):
             f"the width + 1 = {width + 1} exact-arithmetic bound; delta_conv may "
             "be below roundoff",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     attempts.append(SlabAttempt(n_final=n_final, iterations=iterations))
 
 
-def parareal_classic_engine(
+def _parareal_loop(
     initial: PhaseState,
     fine: WindowPropagator,
     coarse: WindowPropagator,
     config: PararealConfig,
-    workers: int | None = None,
+    delta_expl: float,
     record_iterates: bool = False,
 ) -> PararealResult:
-    """Classic parareal over ``config.n_windows`` windows.
+    """Slab-shortening parareal with explosion threshold ``delta_expl``.
 
-    Stops when the post-sweep relative error drops below ``delta_conv``, or
-    after ``iteration_cap`` sweeps (then ``converged`` is false).
+    With ``delta_expl = inf`` no sweep can explode, so the run is one slab of
+    one attempt over the whole range: classic parareal.
     """
     n = config.n_windows
-    cur: list[PhaseState] = [initial]
-    for m in range(n):
-        cur.append(_call(coarse, cur[m], m, 0))
-    iterates = [NodeTrajectory(tuple(cur))] if record_iterates else None
-    history: list[tuple[int, int, float]] = []
-    k = 0
-    delta = 2.0 * config.delta_conv
-    while delta >= config.delta_conv:
-        if k >= config.iteration_cap:
-            break
-        k += 1
-        prev = list(cur)
-        jumps = _compute_jumps(fine, coarse, prev, range(n), k, workers)
-        num, den = 0.0, 0.0
-        for m in range(n):
-            cur[m + 1] = _corrected(coarse, cur[m], m, k, jumps[m])
-            num, den = _accumulate(num, den, prev[m + 1], cur[m + 1])
-        if den == 0.0:
-            raise DegenerateNormalizationError(
-                f"all reference positions on nodes 1..{n} are zero"
-            )
-        delta = num / den
-        history.append((1, k, delta))
-        if record_iterates:
-            iterates.append(NodeTrajectory(tuple(cur)))
-    attempts: list[SlabAttempt] = []
-    _close_attempt(attempts, 0, n, k)
-    slab = SlabRecord(slab_index=1, n_init=0, attempts=tuple(attempts), n_final=n, k_conv=k)
-    return PararealResult(
-        trajectory=NodeTrajectory(tuple(cur)),
-        slabs=(slab,),
-        error_history=tuple(history),
-        converged=delta < config.delta_conv,
-        iterates=tuple(iterates) if record_iterates else None,
-    )
-
-
-def parareal_adaptive_engine(
-    initial: PhaseState,
-    fine: WindowPropagator,
-    coarse: WindowPropagator,
-    config: PararealConfig,
-    workers: int | None = None,
-) -> PararealResult:
-    """Adaptive slab-shortening parareal.
-
-    The running error is re-evaluated after every node of the corrected
-    sweep; crossing ``delta_expl`` truncates the slab just before the node
-    that crossed and iteration resumes on the shortened slab without a new
-    bootstrap.  Converged slabs hand their endpoint to the next slab's
-    bootstrap.  ``iteration_cap`` applies per attempt.
-    """
-    if config.delta_expl is None:
-        raise ValueError("adaptive mode needs delta_expl in the configuration")
-    n = config.n_windows
-    conv, expl = config.delta_conv, config.delta_expl
+    conv, expl = config.delta_conv, delta_expl
     mid = 0.5 * (conv + expl)
 
     cur: list[PhaseState] = [initial] + [None] * n  # type: ignore[list-item]
+    iterates: list[NodeTrajectory] = []
     n_init = 0
     n_final = 0
-    delta = mid
+    delta = 0.0  # below any threshold, so the first pass opens slab 1
     n_slab = 0
     slabs: list[SlabRecord] = []
     history: list[tuple[int, int, float]] = []
@@ -403,6 +350,8 @@ def parareal_adaptive_engine(
             n_final = n
             for m in range(n_init, n):
                 cur[m + 1] = _call(coarse, cur[m], m, 0)
+            if record_iterates:
+                iterates.append(NodeTrajectory(tuple(cur)))
             n_slab += 1
             attempts = []
             k_in_slab = 0
@@ -414,9 +363,7 @@ def parareal_adaptive_engine(
                 aborted = True
                 break
             prev = list(cur)
-            jumps = _compute_jumps(
-                fine, coarse, prev, range(n_init, n_final), k_in_slab + 1, workers
-            )
+            jumps = _compute_jumps(fine, coarse, prev, range(n_init, n_final), k_in_slab + 1)
             k_attempt += 1
             k_in_slab += 1
             num, den = 0.0, 0.0
@@ -427,8 +374,7 @@ def parareal_adaptive_engine(
                 num, den = _accumulate(num, den, prev[m + 1], cur[m + 1])
                 if den == 0.0:
                     raise DegenerateNormalizationError(
-                        f"all reference positions on nodes "
-                        f"{max(n_init, 1)}..{m + 1} are zero"
+                        f"all reference positions on nodes {max(n_init, 1)}..{m + 1} are zero"
                     )
                 delta = num / den
                 history.append((n_slab, k_in_slab, delta))
@@ -443,7 +389,9 @@ def parareal_adaptive_engine(
                     _close_attempt(attempts, n_init, n_final, k_attempt)
                     n_final = m
                     break
-        if aborted:
+            if record_iterates:
+                iterates.append(NodeTrajectory(tuple(cur)))
+        if aborted or delta < conv:
             _close_attempt(attempts, n_init, n_final, k_attempt)
             slabs.append(
                 SlabRecord(
@@ -454,25 +402,54 @@ def parareal_adaptive_engine(
                     k_conv=sum(a.iterations for a in attempts),
                 )
             )
+        if aborted:
             converged = False
             break
-        if delta < conv:
-            _close_attempt(attempts, n_init, n_final, k_attempt)
-            slabs.append(
-                SlabRecord(
-                    slab_index=n_slab,
-                    n_init=n_init,
-                    attempts=tuple(attempts),
-                    n_final=n_final,
-                    k_conv=sum(a.iterations for a in attempts),
-                )
-            )
     return PararealResult(
         trajectory=NodeTrajectory(tuple(cur)),
         slabs=tuple(slabs),
         error_history=tuple(history),
         converged=converged,
+        iterates=tuple(iterates) if record_iterates else None,
     )
+
+
+def parareal_classic_engine(
+    initial: PhaseState,
+    fine: WindowPropagator,
+    coarse: WindowPropagator,
+    config: PararealConfig,
+    record_iterates: bool = False,
+) -> PararealResult:
+    """Classic parareal over ``config.n_windows`` windows.
+
+    Stops when the post-sweep relative error drops below ``delta_conv``, or
+    after ``iteration_cap`` sweeps (then ``converged`` is false).  Runs the
+    adaptive loop without an explosion threshold and keeps the error at the
+    last node of each sweep.
+    """
+    result = _parareal_loop(initial, fine, coarse, config, math.inf, record_iterates)
+    n = config.n_windows
+    return replace(result, error_history=result.error_history[n - 1 :: n])
+
+
+def parareal_adaptive_engine(
+    initial: PhaseState,
+    fine: WindowPropagator,
+    coarse: WindowPropagator,
+    config: PararealConfig,
+) -> PararealResult:
+    """Adaptive slab-shortening parareal.
+
+    The running error is re-evaluated after every node of the corrected
+    sweep; crossing ``delta_expl`` truncates the slab just before the node
+    that crossed and iteration resumes on the shortened slab without a new
+    bootstrap.  Converged slabs hand their endpoint to the next slab's
+    bootstrap.  ``iteration_cap`` applies per attempt.
+    """
+    if config.delta_expl is None:
+        raise ValueError("adaptive mode needs delta_expl in the configuration")
+    return _parareal_loop(initial, fine, coarse, config, config.delta_expl)
 
 
 def _window_propagator(pot, params, schedule, plan) -> WindowPropagator:
@@ -482,11 +459,6 @@ def _window_propagator(pot, params, schedule, plan) -> WindowPropagator:
     return propagate
 
 
-def _check_plan(plan: NoisePlan, n_windows: int) -> None:
-    if plan.n_windows < n_windows:
-        raise ValueError(f"noise plan covers {plan.n_windows} windows, need {n_windows}")
-
-
 def parareal_classic(
     initial: PhaseState,
     pair: PropagatorPair,
@@ -494,7 +466,6 @@ def parareal_classic(
     schedule: TemperatureSchedule,
     plan: NoisePlan,
     config: PararealConfig,
-    workers: int | None = None,
     record_iterates: bool = False,
 ) -> PararealResult:
     """Classic parareal on a potential pair under a shared noise plan."""
@@ -504,7 +475,6 @@ def parareal_classic(
         _window_propagator(pair.fine, params, schedule, plan),
         _window_propagator(pair.coarse, params, schedule, plan),
         config,
-        workers=workers,
         record_iterates=record_iterates,
     )
 
@@ -516,7 +486,6 @@ def parareal_adaptive(
     schedule: TemperatureSchedule,
     plan: NoisePlan,
     config: PararealConfig,
-    workers: int | None = None,
 ) -> PararealResult:
     """Adaptive parareal on a potential pair under a shared noise plan."""
     _check_plan(plan, config.n_windows)
@@ -525,5 +494,4 @@ def parareal_adaptive(
         _window_propagator(pair.fine, params, schedule, plan),
         _window_propagator(pair.coarse, params, schedule, plan),
         config,
-        workers=workers,
     )

@@ -25,8 +25,6 @@ from paralangevin.integrator import (
     BlowUpError,
     InfeasibleScheduleError,
     TemperatureSchedule,
-    bbk_first_step,
-    bbk_step,
     measure_kinetic_temperature,
     predicted_intermediate_variance,
     predicted_kinetic_temperature,
@@ -141,13 +139,39 @@ def _free_variance_oracle(params, schedule):
 # single steps
 
 
+def _substep(state, p_half_prev, pot, params, c_l, c_lp1, g_l, g_lp1):
+    """One substep through the integrator's step kernel.
+
+    An opening substep passes ``p_half_prev = state.p``, so its friction acts
+    on the full-step momentum.  Returns the new state and the half-step
+    momentum that the next substep takes as ``p_half_prev``.
+    """
+    mass = params.mass_vector(state.dim)
+    sqrt_m = np.sqrt(mass)
+    q1, p1, p_half, _ = integrator_module._step_kernel(
+        state.q,
+        state.p,
+        np.asarray(p_half_prev, dtype=float),
+        pot.gradient(state.q),
+        pot.gradient,
+        params.gamma,
+        params.dt,
+        mass,
+        integrator_module._amplitude(params, c_l) * sqrt_m,
+        integrator_module._amplitude(params, c_lp1) * sqrt_m,
+        np.asarray(g_l, dtype=float),
+        np.asarray(g_lp1, dtype=float),
+    )
+    return PhaseState(q=q1, p=p1), p_half
+
+
 class TestBBKSteps:
     def test_first_step_hand_values(self):
         # harmonic k=1, gamma=0, inv_beta=0, q0=1, p0=0, dt=0.1
         params = LangevinParams(gamma=0.0, inv_beta=0.0, dt=0.1)
         state = PhaseState(q=[1.0], p=[0.0])
-        new, p_half = bbk_first_step(
-            state, Harmonic(k=1.0), params, 1.0, 1.0, np.zeros(1), np.zeros(1)
+        new, p_half = _substep(
+            state, state.p, Harmonic(k=1.0), params, 1.0, 1.0, np.zeros(1), np.zeros(1)
         )
         assert p_half[0] == pytest.approx(-0.05, rel=1e-14)
         assert new.q[0] == pytest.approx(0.995, rel=1e-14)
@@ -158,7 +182,7 @@ class TestBBKSteps:
         state = PhaseState(q=[2.0, -1.0], p=[0.5, 0.25])
         # nonzero variates must not matter: the amplitude is exactly zero
         g = np.array([1.3, -0.7])
-        new, p_half = bbk_first_step(state, Free(), params, 1.0, 1.0, g, g)
+        new, p_half = _substep(state, state.p, Free(), params, 1.0, 1.0, g, g)
         assert np.array_equal(new.p, state.p)
         assert np.array_equal(p_half, state.p)
         assert np.array_equal(new.q, state.q + 0.125 * state.p)
@@ -167,7 +191,7 @@ class TestBBKSteps:
         params = LangevinParams(gamma=0.0, inv_beta=0.0, dt=0.125)
         state = PhaseState(q=[2.0], p=[0.5])
         g = np.array([0.9])
-        new, p_half = bbk_step(state, state.p, Free(), params, 1.0, 1.0, g, g)
+        new, p_half = _substep(state, state.p, Free(), params, 1.0, 1.0, g, g)
         assert np.array_equal(new.p, state.p)
         assert np.array_equal(new.q, state.q + 0.125 * state.p)
 
@@ -177,7 +201,7 @@ class TestBBKSteps:
         state = PhaseState(q=[1.0, -0.5, 0.25], p=[0.3, 0.0, -0.8])
         g0 = np.full(3, 1.0)
         g1 = np.full(3, 1.0)
-        new, p_half = bbk_first_step(state, pot, params, 1.0, 1.0, g0, g1)
+        new, p_half = _substep(state, state.p, pot, params, 1.0, 1.0, g0, g1)
         q_ref, p_ref, ph_ref = _oracle_first(
             state.q, state.p, pot.gradient, 1.0, 1.0, 0.1, np.ones(3), 1.0, 1.0, g0, g1
         )
@@ -193,7 +217,7 @@ class TestBBKSteps:
         p_half_prev = np.array([0.05, 0.55])
         g_l = np.array([0.3, -1.1])
         g_lp1 = np.array([-0.2, 0.8])
-        new, p_half = bbk_step(state, p_half_prev, pot, params, 3.0, 1.0, g_l, g_lp1)
+        new, p_half = _substep(state, p_half_prev, pot, params, 3.0, 1.0, g_l, g_lp1)
         q_ref, p_ref, ph_ref = _oracle_step(
             state.q, state.p, p_half_prev, pot.gradient,
             0.7, 2.0, 0.05, mass, 3.0, 1.0, g_l, g_lp1,
@@ -211,8 +235,8 @@ class TestBBKSteps:
         q0, p0 = np.array([1.0]), np.array([0.5])
         z = np.zeros(1)
 
-        s1, ph1 = bbk_first_step(PhaseState(q=q0, p=p0), pot, params, 1.0, 1.0, z, z)
-        s2, _ = bbk_step(s1, ph1, pot, params, 1.0, 1.0, z, z)
+        s1, ph1 = _substep(PhaseState(q=q0, p=p0), p0, pot, params, 1.0, 1.0, z, z)
+        s2, _ = _substep(s1, ph1, pot, params, 1.0, 1.0, z, z)
 
         ph = p0 - 0.5 * dt * q0 - 0.5 * dt * gamma * p0
         q1 = q0 + dt * ph
@@ -240,8 +264,8 @@ class TestPropagateWindow:
         state = PhaseState(q=[0.2, -0.4], p=[1.0, 0.3])
         seed = derive_seed(11, 1)
         g = gaussian_stream(seed, 2 * state.dim).reshape(2, state.dim)
-        expected, _ = bbk_first_step(
-            state, Harmonic(k=1.0), params, 1.0, 1.0, g[0], g[1]
+        expected, _ = _substep(
+            state, state.p, Harmonic(k=1.0), params, 1.0, 1.0, g[0], g[1]
         )
         out = propagate_window(
             state, Harmonic(k=1.0), params, TemperatureSchedule.identity(1), seed
@@ -304,16 +328,12 @@ class TestPropagateWindow:
         amplitude; exactly one stream of (L+1)*d variates is drawn."""
         calls = []
         streams = []
-        real_first = integrator_module._first_kernel
         real_step = integrator_module._step_kernel
         real_stream = integrator_module.gaussian_stream
 
-        def spy_first(q, p, grad_q, grad_fn, gamma, dt, mass, amp0, amp1, g0, g1):
-            calls.append(("first", np.copy(amp0), np.copy(amp1), np.copy(g0), np.copy(g1)))
-            return real_first(q, p, grad_q, grad_fn, gamma, dt, mass, amp0, amp1, g0, g1)
-
         def spy_step(q, p, p_half, grad_q, grad_fn, gamma, dt, mass, amp_l, amp_lp1, g_l, g_lp1):
-            calls.append(("step", np.copy(amp_l), np.copy(amp_lp1), np.copy(g_l), np.copy(g_lp1)))
+            calls.append((np.copy(p_half), np.copy(amp_l), np.copy(amp_lp1),
+                          np.copy(g_l), np.copy(g_lp1)))
             return real_step(q, p, p_half, grad_q, grad_fn, gamma, dt, mass,
                              amp_l, amp_lp1, g_l, g_lp1)
 
@@ -321,21 +341,20 @@ class TestPropagateWindow:
             streams.append((seed, count))
             return real_stream(seed, count)
 
-        monkeypatch.setattr(integrator_module, "_first_kernel", spy_first)
         monkeypatch.setattr(integrator_module, "_step_kernel", spy_step)
         monkeypatch.setattr(integrator_module, "gaussian_stream", spy_stream)
 
         n_sub, d, seed = 4, 2, derive_seed(8, 2)
         params = _window_params(substeps=n_sub, mass=np.array([1.0, 3.0]))
         sched = TemperatureSchedule.robust(n_sub)
-        propagate_window(PhaseState(q=[0.1, 0.2], p=[0.0, 0.0]),
-                         Harmonic(k=1.0), params, sched, seed)
+        start = PhaseState(q=[0.1, 0.2], p=[0.4, -0.3])
+        propagate_window(start, Harmonic(k=1.0), params, sched, seed)
 
         assert streams == [(seed, (n_sub + 1) * d)]
         blocks = gaussian_stream(seed, (n_sub + 1) * d).reshape(n_sub + 1, d)
         assert len(calls) == n_sub
-        assert calls[0][0] == "first"
-        assert all(kind == "step" for kind, *_ in calls[1:])
+        # the opening substep's friction acts on the start momentum itself
+        assert np.array_equal(calls[0][0], start.p)
         for l, (_, amp_open, amp_close, g_open, g_close) in enumerate(calls):
             assert np.array_equal(g_open, blocks[l])
             assert np.array_equal(g_close, blocks[l + 1])

@@ -379,21 +379,6 @@ class TestClassicReal:
         assert set(seed_counts.values()) == {1 + 3 * k}
         assert {count for _, count in calls} == {(params.substeps + 1) * initial.dim}
 
-    def test_worker_count_never_changes_results(self):
-        n = 12
-        initial, pair, params, schedule, plan = _dw_setup(n)
-        config = PararealConfig(n_windows=n, delta_conv=1e-10)
-        results = [
-            parareal_classic(initial, pair, params, schedule, plan, config, workers=w)
-            for w in (None, 2, 5)
-        ]
-        for other in results[1:]:
-            assert other.error_history == results[0].error_history
-            assert other.slabs == results[0].slabs
-            for a, b in zip(results[0].trajectory, other.trajectory):
-                assert a.q.tobytes() == b.q.tobytes()
-                assert a.p.tobytes() == b.p.tobytes()
-
     def test_blow_up_during_jump_reports_context(self):
         params = LangevinParams(gamma=0.0, inv_beta=0.0, dt=0.1, substeps=20)
         schedule = TemperatureSchedule.identity(20)
@@ -591,21 +576,6 @@ class TestAdaptiveReal:
         assert result.converged
         assert result.n_slab >= 2
         assert any(len(slab.attempts) > 1 for slab in result.slabs)
-
-    def test_worker_count_never_changes_results(self):
-        n = 15
-        initial, pair, params, schedule, plan = _dw_setup(n)
-        config = PararealConfig(n_windows=n, delta_conv=1e-10, delta_expl=0.35)
-        results = [
-            parareal_adaptive(initial, pair, params, schedule, plan, config, workers=w)
-            for w in (None, 2, 5)
-        ]
-        for other in results[1:]:
-            assert other.error_history == results[0].error_history
-            assert other.slabs == results[0].slabs
-            for a, b in zip(results[0].trajectory, other.trajectory):
-                assert a.q.tobytes() == b.q.tobytes()
-                assert a.p.tobytes() == b.p.tobytes()
 
     def test_adaptive_wrapper_checks_plan_coverage(self):
         initial, pair, params, schedule, plan = _dw_setup(4)
