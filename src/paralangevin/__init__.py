@@ -77,11 +77,25 @@ from .parareal import (
     relative_error,
     sequential_propagate,
 )
-from .cli import (
-    ConfigError,
-    EnsembleSpec,
-    ExperimentConfig,
-    SweepGrid,
-    TemperatureSpec,
-    validate_config,
+
+# The CLI's config types are served lazily, so that importing the package
+# does not import ``cli`` (``python -m paralangevin.cli`` would then find it
+# already imported and warn).
+_CLI_NAMES = frozenset(
+    {
+        "ConfigError",
+        "EnsembleSpec",
+        "ExperimentConfig",
+        "SweepGrid",
+        "TemperatureSpec",
+        "validate_config",
+    }
 )
+
+
+def __getattr__(name: str):
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

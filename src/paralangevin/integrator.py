@@ -33,14 +33,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .model import LangevinParams, PhaseState
 from .potentials import Free, Potential
-from .rng import derive_seeds, gaussian_stream, gaussian_streams
+from .rng import NoisePlan, derive_seeds, gaussian_stream, gaussian_streams
 
 #: any component beyond this magnitude aborts the window as a blow-up
 BLOWUP_LIMIT = 1e12
+
+#: rows of Gaussian streams generated per call inside a free-particle chunk
+_NOISE_BLOCK_ROWS = 256
 
 #: sampling modes for kinetic-temperature measurement
 ALL_SUBSTEPS = "all_substeps"
@@ -160,13 +162,29 @@ def _amplitude(params: LangevinParams, c: float) -> float:
     return 0.5 * math.sqrt(2.0 * params.gamma * c * params.inv_beta * params.dt)
 
 
+def _blow_up(substep: int) -> BlowUpError:
+    return BlowUpError(
+        f"state left the trusted range (|component| > {BLOWUP_LIMIT:g} "
+        f"or non-finite) at substep {substep}",
+        substep=substep,
+    )
+
+
 def _check_bounded(q: np.ndarray, p: np.ndarray, substep: int) -> None:
     # abs(nan) <= x is False, so this also catches non-finite components
     if not ((np.abs(q) <= BLOWUP_LIMIT).all() and (np.abs(p) <= BLOWUP_LIMIT).all()):
-        raise BlowUpError(
-            f"state left the trusted range (|component| > {BLOWUP_LIMIT:g} "
-            f"or non-finite) at substep {substep}",
-            substep=substep,
+        raise _blow_up(substep)
+
+
+def _check_bounded_float(q: float, p: float, substep: int) -> None:
+    if not (abs(q) <= BLOWUP_LIMIT and abs(p) <= BLOWUP_LIMIT):
+        raise _blow_up(substep)
+
+
+def _check_substeps(params: LangevinParams, schedule: TemperatureSchedule) -> None:
+    if schedule.substeps != params.substeps:
+        raise ValueError(
+            f"schedule has {schedule.substeps} substeps, params have {params.substeps}"
         )
 
 
@@ -178,33 +196,28 @@ def _step_kernel(q, p, p_half_prev, grad_q, grad_fn, gamma, dt, mass, amp_l, amp
     return q1, p1, p_half, grad_q1
 
 
-def _window_kernel(state, pot, params, schedule, seed, record):
-    n_sub = params.substeps
-    if schedule.substeps != n_sub:
-        raise ValueError(
-            f"schedule has {schedule.substeps} substeps, params have {n_sub}"
-        )
-    d = state.dim
-    mass = params.mass_vector(d)
-    sqrt_m = np.sqrt(mass)
-    amps = [_amplitude(params, c) * sqrt_m for c in schedule.coefficients]
-    noise = gaussian_stream(seed, (n_sub + 1) * d).reshape(n_sub + 1, d)
-    gamma, dt = params.gamma, params.dt
-    recorded = np.empty((n_sub, d)) if record else None
+def _window_kernel(q, p, grad_fn, gamma, dt, mass, amps, noise, after_substep):
+    """Advance one window; ``q`` and ``p`` are floats, ``(d,)`` rows or ``(B, d)`` rows.
 
+    ``amps[l]`` and ``noise[l]`` are the amplitude and Gaussian block ``l``
+    (``noise[l]`` is ``(B, d)`` for stacked rows).  Every operation is
+    elementwise per row, so a row of a stack is bitwise the row on its own.
+    ``after_substep(q, p, l)`` runs after substep ``l`` (1-based).
+    """
     # the opening substep's friction acts on the full-step momentum itself
-    q, p = state.q, state.p
     p_half = p
-    grad_q = pot.gradient(q)
-    for l in range(n_sub):
+    grad_q = grad_fn(q)
+    for l in range(len(amps) - 1):
         q, p, p_half, grad_q = _step_kernel(
-            q, p, p_half, grad_q, pot.gradient, gamma, dt, mass,
+            q, p, p_half, grad_q, grad_fn, gamma, dt, mass,
             amps[l], amps[l + 1], noise[l], noise[l + 1],
         )
-        _check_bounded(q, p, substep=l + 1)
-        if record:
-            recorded[l] = p
-    return PhaseState(q=q, p=p), recorded
+        after_substep(q, p, l + 1)
+    return q, p
+
+
+def _amplitudes(params, schedule, sqrt_m):
+    return [_amplitude(params, c) * sqrt_m for c in schedule.coefficients]
 
 
 def propagate_window(
@@ -222,8 +235,111 @@ def propagate_window(
     reproducible.  Raises :class:`BlowUpError` when any intermediate
     component exceeds :data:`BLOWUP_LIMIT` or turns non-finite.
     """
-    end, _ = _window_kernel(state, pot, params, schedule, seed, record=False)
-    return end
+    _check_substeps(params, schedule)
+    d = state.dim
+    mass = params.mass_vector(d)
+    noise = gaussian_stream(seed, (params.substeps + 1) * d).reshape(-1, d)
+    q, p = _window_kernel(
+        state.q, state.p, pot.gradient, params.gamma, params.dt, mass,
+        _amplitudes(params, schedule, np.sqrt(mass)), noise, _check_bounded,
+    )
+    return PhaseState(q=q, p=p)
+
+
+class PlanWindows:
+    """The windows of one potential on one noise plan, set up once per run.
+
+    Raw states are Python floats when ``scalar`` is set and ``(d,)`` arrays
+    otherwise; build them with :meth:`for_potentials`, which checks the
+    state's dimension and picks one representation for all potentials.
+    :meth:`one` advances one window on that lean serial path; :meth:`rows`
+    advances consecutive windows in one batched kernel call.  Both are
+    bitwise equal to :func:`propagate_window` with the plan's seed, and the
+    noise comes from the plan's cache (:meth:`NoisePlan.noise`).
+    """
+
+    def __init__(
+        self,
+        pot: Potential,
+        params: LangevinParams,
+        schedule: TemperatureSchedule,
+        plan: NoisePlan,
+        initial: PhaseState,
+        scalar: bool,
+    ) -> None:
+        _check_substeps(params, schedule)
+        d = initial.dim
+        mass = params.mass_vector(d)
+        amps = _amplitudes(params, schedule, np.sqrt(mass))
+        self._grad = pot._grad
+        self._gamma, self._dt = params.gamma, params.dt
+        self._d = d
+        self._noise = plan.noise((params.substeps + 1) * d).reshape(plan.n_windows, -1, d)
+        self.scalar = scalar
+        if scalar:
+            self._mass = float(mass[0])
+            self._amps = [float(a[0]) for a in amps]
+            self._blocks = self._noise[:, :, 0].tolist()
+            self._check = _check_bounded_float
+        else:
+            self._mass = mass
+            self._amps = amps
+            self._blocks = self._noise
+            self._check = _check_bounded
+
+    @classmethod
+    def for_potentials(cls, pots, params, schedule, plan, initial) -> list["PlanWindows"]:
+        """One per potential, on Python floats when d = 1 and every raw
+        gradient keeps a float a float, else all on ``(d,)`` arrays."""
+        for pot in pots:
+            pot._check_q(initial.q)
+        x = float(initial.q[0])
+        scalar = initial.dim == 1 and all(type(pot._grad(x)) is float for pot in pots)
+        return [cls(pot, params, schedule, plan, initial, scalar) for pot in pots]
+
+    def raw(self, state: PhaseState):
+        return (float(state.q[0]), float(state.p[0])) if self.scalar else (state.q, state.p)
+
+    def state(self, q, p) -> PhaseState:
+        return PhaseState(q=(q,), p=(p,)) if self.scalar else PhaseState(q=q, p=p)
+
+    def one(self, q, p, m: int):
+        """Window ``m`` (0-based) from raw ``(q, p)``; raises at the first bad substep."""
+        return _window_kernel(
+            q, p, self._grad, self._gamma, self._dt, self._mass, self._amps,
+            self._blocks[m], self._check,
+        )
+
+    def rows(self, qs, ps, m0: int):
+        """Windows ``m0, m0 + 1, ...`` from the raw states ``qs[i], ps[i]``, in one call.
+
+        A :class:`BlowUpError` names the lowest window that leaves the
+        range and that window's own first bad substep, as a serial pass
+        over the windows would.
+        """
+        b = len(qs)
+        q = np.array(qs, dtype=float).reshape(b, self._d)
+        p = np.array(ps, dtype=float).reshape(b, self._d)
+        first_bad = np.zeros(b, dtype=np.int64)
+
+        def mark(q, p, substep):
+            ok = ((np.abs(q) <= BLOWUP_LIMIT) & (np.abs(p) <= BLOWUP_LIMIT)).all(axis=1)
+            first_bad[~ok & (first_bad == 0)] = substep
+
+        # rows that blew up keep running to the window end; silence their overflow
+        with np.errstate(all="ignore"):
+            q, p = _window_kernel(
+                q, p, self._grad, self._gamma, self._dt, self._mass, self._amps,
+                self._noise[m0 : m0 + b].swapaxes(0, 1), mark,
+            )
+        bad = np.flatnonzero(first_bad)
+        if bad.size:
+            err = _blow_up(int(first_bad[bad[0]]))
+            err.window = m0 + int(bad[0]) + 1
+            raise err
+        if self.scalar:
+            return q[:, 0].tolist(), p[:, 0].tolist()
+        return list(q), list(p)
 
 
 def predicted_kinetic_temperature(substeps: int, inv_beta: float) -> float:
@@ -267,14 +383,25 @@ def _accumulate_variance(s1, s2, count, mass):
 
 
 def _measure_chain(pot, params, schedule, n_windows, master_seed, n_burn, d, mass):
-    state = PhaseState(q=np.zeros(d), p=np.zeros(d))
+    _check_substeps(params, schedule)
+    q = p = np.zeros(d)
     seeds = derive_seeds(master_seed, n_windows)
     n_sub = params.substeps
+    amps = _amplitudes(params, schedule, np.sqrt(mass))
     s1 = np.zeros((n_sub, d))
     s2 = np.zeros((n_sub, d))
     count = 0
+    momenta = np.empty((n_sub, d))
+
+    def record(q, p, substep):
+        _check_bounded(q, p, substep)
+        momenta[substep - 1] = p
+
     for n in range(n_windows):
-        state, momenta = _window_kernel(state, pot, params, schedule, int(seeds[n]), record=True)
+        noise = gaussian_stream(int(seeds[n]), (n_sub + 1) * d).reshape(-1, d)
+        q, p = _window_kernel(
+            q, p, pot.gradient, params.gamma, params.dt, mass, amps, noise, record
+        )
         if n >= n_burn:
             s1 += momenta
             s2 += momenta * momenta
@@ -293,6 +420,8 @@ def _measure_free(params, schedule, n_windows, master_seed, n_burn, d, mass):
     are reconstructed from the filtered window starts.  Output agrees with
     the window-by-window chain up to roundoff.
     """
+    from scipy.signal import lfilter  # costs about 1 s and 75 MB, so only here
+
     n_sub = params.substeps
     coeffs = AnalyticCoefficients.from_params(params)
     mu = coeffs.mu
@@ -318,7 +447,13 @@ def _measure_free(params, schedule, n_windows, master_seed, n_burn, d, mass):
     seeds = derive_seeds(master_seed, n_windows)
     for n0 in range(0, n_windows, chunk):
         n1 = min(n0 + chunk, n_windows)
-        noise = gaussian_streams(seeds[n0:n1], (n_sub + 1) * d).reshape(-1, n_sub + 1, d)
+        # row blocks keep the generator's temporaries small; a row depends
+        # only on its seed, and the chunk (the summation unit) is unchanged
+        noise = np.empty((n1 - n0, (n_sub + 1) * d))
+        for b0 in range(n0, n1, _NOISE_BLOCK_ROWS):
+            b1 = min(b0 + _NOISE_BLOCK_ROWS, n1)
+            noise[b0 - n0 : b1 - n0] = gaussian_streams(seeds[b0:b1], (n_sub + 1) * d)
+        noise = noise.reshape(-1, n_sub + 1, d)
         scaled = noise * amp[None, :, :]
         w = np.einsum("j,bjd->bd", wcoef, scaled)
         p_l_series, zi = lfilter([1.0], [1.0, -a], w, axis=0, zi=zi)

@@ -26,12 +26,21 @@ Two conventions matter for reproducibility:
   cancels to the coarse trajectory up to floating-point zeros and converges
   in one iteration.
 
-The ``*_engine`` functions take the propagators as plain callables
-``(state, m) -> PhaseState`` where ``m`` is the 0-based window index, so
-scripted propagators can be tested against hand-executed traces; the
-``parareal_*`` wrappers bind potential-driven window propagation with a
+Only the work the method needs is done.  Every coarse output G(U_m) from the
+bootstrap and from each sweep is kept, and it is exactly the coarse value
+the next jump stage needs, so a jump stage never runs coarse: per iteration
+the coarse propagator runs once per node of the serial sweep, and the fine
+propagator runs over the whole slab in one batched call.
+
+The ``*_engine`` functions take the propagators either as plain callables
+``(state, m) -> PhaseState``, where ``m`` is the 0-based window index (so
+scripted propagators can be tested against hand-executed traces; they run
+row by row), or as :class:`~paralangevin.integrator.PlanWindows`.  The
+``parareal_*`` wrappers build the latter: potential-driven windows on a
 shared noise plan (fine and coarse consume the same seed for the same
-window, at every iteration).
+window, at every iteration), batched in the jump stage and on Python floats
+(d = 1) or raw arrays in the serial sweep.  No ``PhaseState`` is built
+inside the loop; the trajectory's states are built once at the end.
 """
 
 from __future__ import annotations
@@ -39,11 +48,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .integrator import BlowUpError, TemperatureSchedule, propagate_window
+# propagate_window stays importable here: perfbench's tracer patches parareal.propagate_window
+from .integrator import BlowUpError, PlanWindows, TemperatureSchedule, propagate_window
 from .model import LangevinParams, NodeTrajectory, PhaseState
 from .potentials import Potential, PropagatorPair
 from .rng import NoisePlan
@@ -196,10 +206,20 @@ class PararealResult:
         return sum(slab.k_conv for slab in self.slabs)
 
 
-def _accumulate(num: float, den: float, prev_state: PhaseState, cur_state: PhaseState):
-    num += float(np.linalg.norm(cur_state.q - prev_state.q))
-    den += float(np.linalg.norm(prev_state.q))
-    return num, den
+def _norm_float(x: float) -> float:
+    return math.sqrt(x * x)  # bitwise np.linalg.norm of the 1-vector
+
+
+def _norm_array(x: np.ndarray) -> float:
+    return math.sqrt(x.dot(x))  # what np.linalg.norm computes for a 1-d array
+
+
+def _finite_float(q: float, p: float) -> bool:
+    return math.isfinite(q) and math.isfinite(p)
+
+
+def _finite_array(q: np.ndarray, p: np.ndarray) -> bool:
+    return bool(np.isfinite(q).all() and np.isfinite(p).all())
 
 
 def relative_error(a, b, n_init: int, n_final: int) -> float:
@@ -221,7 +241,8 @@ def relative_error(a, b, n_init: int, n_final: int) -> float:
         )
     num, den = 0.0, 0.0
     for n in range(max(n_init, 1), n_final + 1):
-        num, den = _accumulate(num, den, a[n], b[n])
+        num += _norm_array(b[n].q - a[n].q)
+        den += _norm_array(a[n].q)
     if den == 0.0:
         raise DegenerateNormalizationError(
             f"all reference positions on nodes {max(n_init, 1)}..{n_final} are zero"
@@ -229,19 +250,55 @@ def relative_error(a, b, n_init: int, n_final: int) -> float:
     return num / den
 
 
-def _attach_context(err: BlowUpError, window: int, iteration: int) -> None:
+def _attach_context(err: BlowUpError, window, iteration) -> None:
     if err.window is None:
         err.window = window
     if err.iteration is None:
         err.iteration = iteration
 
 
-def _call(prop: WindowPropagator, state: PhaseState, m: int, iteration: int) -> PhaseState:
+def _one(prop, q, p, m: int, iteration):
     try:
-        return prop(state, m)
+        return prop.one(q, p, m)
     except BlowUpError as err:
         _attach_context(err, window=m + 1, iteration=iteration)
         raise
+
+
+def _rows(prop, qs, ps, m0: int, iteration: int):
+    try:
+        return prop.rows(qs, ps, m0)
+    except BlowUpError as err:
+        _attach_context(err, window=None, iteration=iteration)
+        raise
+
+
+class _Scripted:
+    """Row-by-row adapter that gives a plain ``(state, m)`` callable the
+    :class:`PlanWindows` interface on ``(d,)`` array raw states."""
+
+    scalar = False
+
+    def __init__(self, prop: WindowPropagator) -> None:
+        self._prop = prop
+
+    def raw(self, state: PhaseState):
+        return state.q, state.p
+
+    def state(self, q, p) -> PhaseState:
+        return PhaseState(q=q, p=p)
+
+    def one(self, q, p, m: int):
+        out = self._prop(PhaseState(q=q, p=p), m)
+        return out.q, out.p
+
+    def rows(self, qs, ps, m0: int):
+        out = [_one(self, q, p, m0 + i, None) for i, (q, p) in enumerate(zip(qs, ps))]
+        return [q for q, _ in out], [p for _, p in out]
+
+
+def _windows(prop):
+    return prop if isinstance(prop, PlanWindows) else _Scripted(prop)
 
 
 def _check_plan(plan: NoisePlan, n_windows: int) -> None:
@@ -261,43 +318,15 @@ def sequential_propagate(
     if n_windows < 0:
         raise ValueError(f"n_windows must be >= 0, got {n_windows}")
     _check_plan(plan, n_windows)
-    states = [initial]
+    if n_windows == 0:
+        return NodeTrajectory((initial,))
+    (windows,) = PlanWindows.for_potentials([pot], params, schedule, plan, initial)
+    q, p = windows.raw(initial)
+    nodes = []
     for m in range(n_windows):
-        try:
-            states.append(
-                propagate_window(states[m], pot, params, schedule, plan.seed_for(m + 1))
-            )
-        except BlowUpError as err:
-            _attach_context(err, window=m + 1, iteration=0)
-            raise
-    return NodeTrajectory(tuple(states))
-
-
-def _compute_jumps(fine, coarse, states, window_indices, iteration):
-    """Jump terms fine(state) - coarse(state), one per window, in window order.
-
-    Each jump is a pure function of its own window's state, so the windows
-    are independent: this is the stage that parallelises in time.
-    """
-    jumps = []
-    for m in window_indices:
-        f = _call(fine, states[m], m, iteration)
-        c = _call(coarse, states[m], m, iteration)
-        jumps.append((f.q - c.q, f.p - c.p))
-    return jumps
-
-
-def _corrected(coarse, state, m, iteration, jump):
-    base = _call(coarse, state, m, iteration)
-    jump_q, jump_p = jump
-    try:
-        return PhaseState(q=base.q + jump_q, p=base.p + jump_p)
-    except ValueError as err:
-        raise BlowUpError(
-            f"corrected state is not finite at window {m + 1} (iteration {iteration})",
-            window=m + 1,
-            iteration=iteration,
-        ) from err
+        q, p = _one(windows, q, p, m, 0)
+        nodes.append((q, p))
+    return NodeTrajectory((initial,) + tuple(windows.state(q, p) for q, p in nodes))
 
 
 def _close_attempt(attempts, n_init, n_final, iterations):
@@ -313,24 +342,30 @@ def _close_attempt(attempts, n_init, n_final, iterations):
     attempts.append(SlabAttempt(n_final=n_final, iterations=iterations))
 
 
-def _parareal_loop(
-    initial: PhaseState,
-    fine: WindowPropagator,
-    coarse: WindowPropagator,
-    config: PararealConfig,
-    delta_expl: float,
-    record_iterates: bool = False,
-) -> PararealResult:
+def _parareal_loop(initial, fine, coarse, config, delta_expl, record_iterates=False):
     """Slab-shortening parareal with explosion threshold ``delta_expl``.
 
     With ``delta_expl = inf`` no sweep can explode, so the run is one slab of
-    one attempt over the whole range: classic parareal.
+    one attempt over the whole range: classic parareal.  ``fine`` and
+    ``coarse`` are :class:`PlanWindows` or :class:`_Scripted`; states are
+    kept raw as ``cur_q[n], cur_p[n]`` and ``g_q[m], g_p[m]`` holds the
+    coarse output of window ``m`` from the current ``cur[m]``.
     """
     n = config.n_windows
     conv, expl = config.delta_conv, delta_expl
     mid = 0.5 * (conv + expl)
+    norm, finite = (_norm_float, _finite_float) if coarse.scalar else (_norm_array, _finite_array)
 
-    cur: list[PhaseState] = [initial] + [None] * n  # type: ignore[list-item]
+    def trajectory():
+        return NodeTrajectory(
+            (initial,) + tuple(coarse.state(q, p) for q, p in zip(cur_q[1:], cur_p[1:]))
+        )
+
+    q0, p0 = coarse.raw(initial)
+    cur_q = [q0] + [None] * n
+    cur_p = [p0] + [None] * n
+    g_q = [None] * n
+    g_p = [None] * n
     iterates: list[NodeTrajectory] = []
     n_init = 0
     n_final = 0
@@ -349,9 +384,11 @@ def _parareal_loop(
             n_init = n_final
             n_final = n
             for m in range(n_init, n):
-                cur[m + 1] = _call(coarse, cur[m], m, 0)
+                q, p = _one(coarse, cur_q[m], cur_p[m], m, 0)
+                g_q[m] = cur_q[m + 1] = q
+                g_p[m] = cur_p[m + 1] = p
             if record_iterates:
-                iterates.append(NodeTrajectory(tuple(cur)))
+                iterates.append(trajectory())
             n_slab += 1
             attempts = []
             k_in_slab = 0
@@ -362,16 +399,35 @@ def _parareal_loop(
             if k_attempt >= config.iteration_cap:
                 aborted = True
                 break
-            prev = list(cur)
-            jumps = _compute_jumps(fine, coarse, prev, range(n_init, n_final), k_in_slab + 1)
+            prev_q = list(cur_q)
+            # jumps F(U_m) - G(U_m) over the slab: one batched fine call,
+            # and the coarse values kept from the bootstrap or last sweep
+            f_q, f_p = _rows(
+                fine, cur_q[n_init:n_final], cur_p[n_init:n_final], n_init, k_in_slab + 1
+            )
+            jump_q = [f - g for f, g in zip(f_q, g_q[n_init:n_final])]
+            jump_p = [f - g for f, g in zip(f_p, g_p[n_init:n_final])]
             k_attempt += 1
             k_in_slab += 1
             num, den = 0.0, 0.0
             if n_init >= 1:
-                num, den = _accumulate(num, den, prev[n_init], cur[n_init])
+                num += norm(cur_q[n_init] - prev_q[n_init])
+                den += norm(prev_q[n_init])
             for m in range(n_init, n_final):
-                cur[m + 1] = _corrected(coarse, cur[m], m, k_in_slab, jumps[m - n_init])
-                num, den = _accumulate(num, den, prev[m + 1], cur[m + 1])
+                base_q, base_p = _one(coarse, cur_q[m], cur_p[m], m, k_in_slab)
+                g_q[m], g_p[m] = base_q, base_p
+                q = base_q + jump_q[m - n_init]
+                p = base_p + jump_p[m - n_init]
+                if not finite(q, p):
+                    raise BlowUpError(
+                        f"corrected state is not finite at window {m + 1} "
+                        f"(iteration {k_in_slab})",
+                        window=m + 1,
+                        iteration=k_in_slab,
+                    )
+                cur_q[m + 1], cur_p[m + 1] = q, p
+                num += norm(q - prev_q[m + 1])
+                den += norm(prev_q[m + 1])
                 if den == 0.0:
                     raise DegenerateNormalizationError(
                         f"all reference positions on nodes {max(n_init, 1)}..{m + 1} are zero"
@@ -390,7 +446,7 @@ def _parareal_loop(
                     n_final = m
                     break
             if record_iterates:
-                iterates.append(NodeTrajectory(tuple(cur)))
+                iterates.append(trajectory())
         if aborted or delta < conv:
             _close_attempt(attempts, n_init, n_final, k_attempt)
             slabs.append(
@@ -406,7 +462,7 @@ def _parareal_loop(
             converged = False
             break
     return PararealResult(
-        trajectory=NodeTrajectory(tuple(cur)),
+        trajectory=trajectory(),
         slabs=tuple(slabs),
         error_history=tuple(history),
         converged=converged,
@@ -416,8 +472,8 @@ def _parareal_loop(
 
 def parareal_classic_engine(
     initial: PhaseState,
-    fine: WindowPropagator,
-    coarse: WindowPropagator,
+    fine: WindowPropagator | PlanWindows,
+    coarse: WindowPropagator | PlanWindows,
     config: PararealConfig,
     record_iterates: bool = False,
 ) -> PararealResult:
@@ -428,15 +484,17 @@ def parareal_classic_engine(
     adaptive loop without an explosion threshold and keeps the error at the
     last node of each sweep.
     """
-    result = _parareal_loop(initial, fine, coarse, config, math.inf, record_iterates)
+    result = _parareal_loop(
+        initial, _windows(fine), _windows(coarse), config, math.inf, record_iterates
+    )
     n = config.n_windows
     return replace(result, error_history=result.error_history[n - 1 :: n])
 
 
 def parareal_adaptive_engine(
     initial: PhaseState,
-    fine: WindowPropagator,
-    coarse: WindowPropagator,
+    fine: WindowPropagator | PlanWindows,
+    coarse: WindowPropagator | PlanWindows,
     config: PararealConfig,
 ) -> PararealResult:
     """Adaptive slab-shortening parareal.
@@ -449,14 +507,7 @@ def parareal_adaptive_engine(
     """
     if config.delta_expl is None:
         raise ValueError("adaptive mode needs delta_expl in the configuration")
-    return _parareal_loop(initial, fine, coarse, config, config.delta_expl)
-
-
-def _window_propagator(pot, params, schedule, plan) -> WindowPropagator:
-    def propagate(state: PhaseState, m: int) -> PhaseState:
-        return propagate_window(state, pot, params, schedule, plan.seed_for(m + 1))
-
-    return propagate
+    return _parareal_loop(initial, _windows(fine), _windows(coarse), config, config.delta_expl)
 
 
 def parareal_classic(
@@ -470,10 +521,13 @@ def parareal_classic(
 ) -> PararealResult:
     """Classic parareal on a potential pair under a shared noise plan."""
     _check_plan(plan, config.n_windows)
+    fine, coarse = PlanWindows.for_potentials(
+        [pair.fine, pair.coarse], params, schedule, plan, initial
+    )
     return parareal_classic_engine(
         initial,
-        _window_propagator(pair.fine, params, schedule, plan),
-        _window_propagator(pair.coarse, params, schedule, plan),
+        fine,
+        coarse,
         config,
         record_iterates=record_iterates,
     )
@@ -489,9 +543,7 @@ def parareal_adaptive(
 ) -> PararealResult:
     """Adaptive parareal on a potential pair under a shared noise plan."""
     _check_plan(plan, config.n_windows)
-    return parareal_adaptive_engine(
-        initial,
-        _window_propagator(pair.fine, params, schedule, plan),
-        _window_propagator(pair.coarse, params, schedule, plan),
-        config,
+    fine, coarse = PlanWindows.for_potentials(
+        [pair.fine, pair.coarse], params, schedule, plan, initial
     )
+    return parareal_adaptive_engine(initial, fine, coarse, config)

@@ -1,10 +1,12 @@
 """Potential energy surfaces and the fine/coarse propagator pairing.
 
 All potentials expose ``energy(q) -> float`` and ``gradient(q) -> ndarray``
-on flat coordinate vectors.  A cheap surrogate for an expensive reference is
-expressed with :class:`Perturbed`, which interpolates linearly between the
-two; :class:`PropagatorPair` bundles a reference (fine) and surrogate
-(coarse) potential together with their configured per-window costs.
+on flat coordinate vectors.  The propagators call the unchecked ``_grad``
+instead, which also takes a Python float (d = 1) or a ``(B, d)`` stack of
+rows and returns the same shape.  A cheap surrogate for an expensive
+reference is expressed with :class:`Perturbed`, which interpolates linearly
+between the two; :class:`PropagatorPair` bundles a reference (fine) and
+surrogate (coarse) potential together with their configured per-window costs.
 """
 
 from __future__ import annotations
@@ -48,6 +50,18 @@ class Potential:
     def gradient(self, q: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _grad(self, q):
+        """Gradient of a float, a ``(d,)`` row or ``(B, d)`` rows, unchecked.
+
+        Subclasses with elementwise or batched formulas override this; the
+        fallback calls :meth:`gradient` row by row, bitwise equal to it.
+        """
+        if isinstance(q, float):
+            return float(self.gradient(np.array([q]))[0])
+        if q.ndim == 1:
+            return self.gradient(q)
+        return np.array([self.gradient(row) for row in q])
+
     def _check_q(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         if q.ndim != 1:
@@ -68,8 +82,11 @@ class Free(Potential):
         return 0.0
 
     def gradient(self, q) -> np.ndarray:
-        q = self._check_q(q)
-        return np.zeros_like(q)
+        return self._grad(self._check_q(q))
+
+    def _grad(self, q):
+        # +0.0 like zeros_like: 0.0 * q would give -0.0 for negative q
+        return 0.0 if isinstance(q, float) else np.zeros_like(q)
 
 
 @dataclass(frozen=True)
@@ -91,7 +108,9 @@ class Harmonic(Potential):
         return float(0.5 * np.sum(self.k * q * q))
 
     def gradient(self, q) -> np.ndarray:
-        q = self._check_q(q)
+        return self._grad(self._check_q(q))
+
+    def _grad(self, q):
         return self.k * q
 
 
@@ -124,7 +143,9 @@ class DoubleWell(Potential):
         return float(np.sum(self.a * w * w))
 
     def gradient(self, q) -> np.ndarray:
-        q = self._check_q(q)
+        return self._grad(self._check_q(q))
+
+    def _grad(self, q):
         return 4.0 * self.a * q * (q * q - self.b)
 
 
@@ -152,32 +173,36 @@ class LennardJonesCluster(Potential):
         if self.space_dim < 1:
             raise ValueError("space_dim must be >= 1")
         object.__setattr__(self, "dimension", self.n_atoms * self.space_dim)
+        object.__setattr__(self, "_off", ~np.eye(self.n_atoms, dtype=bool))
+        object.__setattr__(self, "_diag", np.arange(self.n_atoms))
 
     def _pair_r2(self, q: np.ndarray):
-        x = q.reshape(self.n_atoms, self.space_dim)
-        diff = x[:, None, :] - x[None, :, :]
-        r2 = np.sum(diff * diff, axis=-1)
-        off = ~np.eye(self.n_atoms, dtype=bool)
-        if np.any(r2[off] == 0.0):
+        """Pair differences and squared distances of one row or a stack of rows."""
+        x = q.reshape(q.shape[:-1] + (self.n_atoms, self.space_dim))
+        diff = x[..., :, None, :] - x[..., None, :, :]
+        r2 = (diff * diff).sum(axis=-1)
+        if (r2[..., self._off] == 0.0).any():
             raise PotentialError("coincident atoms: pair distance is zero")
-        return x, diff, r2
+        return diff, r2
 
     def energy(self, q) -> float:
         q = self._check_q(q)
-        _, _, r2 = self._pair_r2(q)
+        _, r2 = self._pair_r2(q)
         iu = np.triu_indices(self.n_atoms, k=1)
         u3 = (self.sigma * self.sigma / r2[iu]) ** 3
         return float(np.sum(4.0 * self.epsilon * (u3 * u3 - u3)))
 
     def gradient(self, q) -> np.ndarray:
-        q = self._check_q(q)
-        _, diff, r2 = self._pair_r2(q)
-        np.fill_diagonal(r2, 1.0)  # diagonal never contributes
+        return self._grad(self._check_q(q))
+
+    def _grad(self, q):
+        diff, r2 = self._pair_r2(q)
+        diag = self._diag
+        r2[..., diag, diag] = 1.0  # diagonal never contributes
         u3 = (self.sigma * self.sigma / r2) ** 3
         coeff = (24.0 * self.epsilon * u3 - 48.0 * self.epsilon * u3 * u3) / r2
-        np.fill_diagonal(coeff, 0.0)
-        grad = np.sum(coeff[:, :, None] * diff, axis=1)
-        return grad.reshape(-1)
+        coeff[..., diag, diag] = 0.0
+        return (coeff[..., :, :, None] * diff).sum(axis=-2).reshape(q.shape)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ distinct windows can never collide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -196,6 +196,7 @@ class NoisePlan:
 
     master_seed: int
     window_seeds: tuple[int, ...]
+    _noise: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_u64(self.master_seed, "master_seed")
@@ -221,3 +222,16 @@ class NoisePlan:
                 f"window {n} outside plan range 1..{len(self.window_seeds)}"
             )
         return self.window_seeds[n - 1]
+
+    def noise(self, count: int) -> np.ndarray:
+        """Read-only ``(n_windows, count)`` array: row ``n - 1`` is window n's stream.
+
+        Built once per count through :func:`gaussian_streams`, so every row
+        is bitwise ``gaussian_stream(seed_for(n), count)``.
+        """
+        rows = self._noise.get(count)
+        if rows is None:
+            rows = gaussian_streams(np.array(self.window_seeds, dtype=np.uint64), count)
+            rows.setflags(write=False)
+            self._noise[count] = rows
+        return rows

@@ -262,6 +262,21 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("ok:")
 
+    def test_module_run_has_no_runpy_warning(self):
+        """`python -m paralangevin.cli` must not find `cli` imported by the package."""
+        package_root = str(Path(paralangevin.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "paralangevin.cli", "validate",
+             "--config", str(CONFIG_DIR / "adaptive.json")],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
 
 def _console_command() -> tuple[list[str], dict[str, str] | None]:
     """Command and environment that start the `paralangevin` console command.

@@ -24,6 +24,7 @@ from paralangevin.integrator import (
     AnalyticCoefficients,
     BlowUpError,
     InfeasibleScheduleError,
+    PlanWindows,
     TemperatureSchedule,
     measure_kinetic_temperature,
     predicted_intermediate_variance,
@@ -32,8 +33,15 @@ from paralangevin.integrator import (
     solve_schedule,
 )
 from paralangevin.model import LangevinParams, PhaseState
-from paralangevin.potentials import DoubleWell, Free, Harmonic, Perturbed, Potential
-from paralangevin.rng import derive_seed, derive_seeds, gaussian_stream
+from paralangevin.potentials import (
+    DoubleWell,
+    Free,
+    Harmonic,
+    LennardJonesCluster,
+    Perturbed,
+    Potential,
+)
+from paralangevin.rng import NoisePlan, derive_seed, derive_seeds, gaussian_stream
 
 
 # ---------------------------------------------------------------------------
@@ -644,3 +652,124 @@ class TestLimitsAndFailures:
                 state, _NaNPotential(), params, TemperatureSchedule.identity(2), seed=1
             )
         assert exc_info.value.substep == 1
+
+
+# ---------------------------------------------------------------------------
+# batched rows and the lean serial path against propagate_window
+
+
+class _GradientOnly(Potential):
+    """A potential that defines only the public gradient (no raw ``_grad``)."""
+
+    def energy(self, q):
+        q = np.asarray(q, dtype=float)
+        return float(np.sum(0.25 * q**4 - q * q))
+
+    def gradient(self, q):
+        q = self._check_q(q)
+        return q * q * q - 2.0 * q
+
+
+_HEXAGON = np.array(
+    [(0.0, 0.0)]
+    + [(1.12 * math.cos(k * math.pi / 3), 1.12 * math.sin(k * math.pi / 3)) for k in range(6)]
+).reshape(-1)
+
+# (potential, dimension, scale of the random start positions around `centre`)
+_BATCH_CASES = {
+    "harmonic": (Harmonic(k=1.7), 1, 1.5),
+    "harmonic-vector": (Harmonic(k=[0.5, 2.0, 1.0]), 3, 1.5),
+    "double-well": (DoubleWell(a=1.0, b=1.0), 1, 1.5),
+    "double-well-vector": (DoubleWell(a=[1.0, 0.6], b=[1.0, 2.0]), 2, 1.5),
+    "double-well-length-1": (DoubleWell(a=[1.3], b=[0.9]), 1, 1.5),
+    "lj7": (LennardJonesCluster(n_atoms=7, space_dim=2), 14, 0.05),
+    "lj3-3d": (LennardJonesCluster(n_atoms=3, space_dim=3, sigma=0.6), 9, 0.05),
+    "perturbed": (Perturbed(base=DoubleWell(a=1.0, b=1.0), delta=Harmonic(k=1.0), lam=0.3), 1, 1.5),
+    "gradient-only": (_GradientOnly(), 2, 1.5),
+}
+
+
+def _centre(name, d):
+    if name == "lj7":
+        return _HEXAGON
+    if name == "lj3-3d":
+        return np.array([0.0, 0.0, 0.0, 0.7, 0.0, 0.0, 0.0, 0.7, 0.1])
+    return np.zeros(d)
+
+
+def _window_bytes(q, p):
+    return np.asarray(q, dtype=float).tobytes() + np.asarray(p, dtype=float).tobytes()
+
+
+class TestPlanWindows:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_BATCH_CASES)),
+        n_sub=st.integers(1, 4),
+        master=st.integers(0, 2**64 - 1),
+        n_rows=st.integers(1, 6),
+        m0=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_rows_and_one_equal_propagate_window(self, name, n_sub, master, n_rows, m0, data):
+        pot, d, scale = _BATCH_CASES[name]
+        params = LangevinParams(gamma=0.7, inv_beta=0.5, dt=0.01, substeps=n_sub)
+        schedule = TemperatureSchedule.robust(n_sub)
+        plan = NoisePlan.for_windows(master, m0 + n_rows)
+        floats = st.floats(-1.0, 1.0, allow_nan=False)
+        starts = [
+            PhaseState(
+                q=_centre(name, d) + scale * np.array(data.draw(st.lists(floats, min_size=d, max_size=d))),
+                p=np.array(data.draw(st.lists(floats, min_size=d, max_size=d))),
+            )
+            for _ in range(n_rows)
+        ]
+        expected = [
+            propagate_window(s, pot, params, schedule, plan.seed_for(m0 + i + 1))
+            for i, s in enumerate(starts)
+        ]
+        (windows,) = PlanWindows.for_potentials([pot], params, schedule, plan, starts[0])
+        raw = [windows.raw(s) for s in starts]
+        qs, ps = windows.rows([q for q, _ in raw], [p for _, p in raw], m0)
+        for i, ref in enumerate(expected):
+            assert _window_bytes(qs[i], ps[i]) == _window_bytes(ref.q, ref.p)
+            q1, p1 = windows.one(*raw[i], m0 + i)
+            assert _window_bytes(q1, p1) == _window_bytes(ref.q, ref.p)
+            assert windows.state(q1, p1) == ref
+
+    def test_float_path_only_where_every_gradient_keeps_floats(self):
+        params = LangevinParams(gamma=0.5, inv_beta=0.4, dt=0.05, substeps=2)
+        schedule = TemperatureSchedule.robust(2)
+        plan = NoisePlan.for_windows(3, 2)
+        start = PhaseState(q=[0.3], p=[0.0])
+        pots = [DoubleWell(), Harmonic(k=2.0), Free(), _GradientOnly()]
+        assert all(w.scalar for w in PlanWindows.for_potentials(pots, params, schedule, plan, start))
+        mixed = PlanWindows.for_potentials(
+            [DoubleWell(), DoubleWell(a=[1.3], b=[0.9])], params, schedule, plan, start
+        )
+        assert not any(w.scalar for w in mixed)
+
+    def test_rows_report_the_lowest_window_with_its_own_substep(self):
+        # omega * dt = 100 diverges from any nonzero start; the larger start
+        # (window 3) leaves the range at an earlier substep than window 2,
+        # and window 1 starts at rest and stays there
+        params = LangevinParams(gamma=0.0, inv_beta=0.0, dt=0.1, substeps=20)
+        schedule = TemperatureSchedule.identity(20)
+        pot = Harmonic(k=1e6)
+        plan = NoisePlan.for_windows(4, 3)
+        starts = [0.0, 1e-6, 1.0]
+        substeps = []
+        for m, q in enumerate(starts[1:], start=2):
+            with pytest.raises(BlowUpError) as exc:
+                propagate_window(
+                    PhaseState(q=[q], p=[0.0]), pot, params, schedule, plan.seed_for(m)
+                )
+            substeps.append(exc.value.substep)
+        assert substeps[1] < substeps[0]
+        (windows,) = PlanWindows.for_potentials(
+            [pot], params, schedule, plan, PhaseState(q=[0.0], p=[0.0])
+        )
+        with pytest.raises(BlowUpError, match="substep") as exc:
+            windows.rows(starts, [0.0, 0.0, 0.0], 0)
+        assert exc.value.window == 2
+        assert exc.value.substep == substeps[0]

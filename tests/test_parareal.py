@@ -17,7 +17,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import paralangevin.integrator as integrator_module
+import paralangevin.rng as rng_module
+from paralangevin.integrator import PlanWindows
 from paralangevin import (
     BlowUpError,
     DegenerateNormalizationError,
@@ -25,6 +26,7 @@ from paralangevin import (
     Free,
     Harmonic,
     LangevinParams,
+    LennardJonesCluster,
     NodeTrajectory,
     NoisePlan,
     PararealConfig,
@@ -359,25 +361,25 @@ class TestClassicReal:
                 assert abs(iterate[m].p - reference[m].p).max() <= 1e-10
 
     def test_every_window_consumes_its_planned_seed(self, monkeypatch):
+        # the plan's noise cache draws every window's stream once per run;
+        # the bootstrap, the jump stages and the sweeps all read it from there
         n = 4
         initial, pair, params, schedule, plan = _dw_setup(n)
-        calls = []
-        real_stream = integrator_module.gaussian_stream
+        draws = []
+        real_streams = rng_module.gaussian_streams
 
-        def spy(seed, count):
-            calls.append((int(seed), int(count)))
-            return real_stream(seed, count)
+        def spy(seeds, count):
+            draws.extend((int(seed), int(count)) for seed in seeds)
+            return real_streams(seeds, count)
 
-        monkeypatch.setattr(integrator_module, "gaussian_stream", spy)
+        monkeypatch.setattr(rng_module, "gaussian_streams", spy)
         config = PararealConfig(n_windows=n, delta_conv=1e-10)
         result = parareal_classic(initial, pair, params, schedule, plan, config)
         assert result.converged
-        k = result.slabs[0].k_conv
-        seed_counts = Counter(seed for seed, _ in calls)
-        assert set(seed_counts) == {plan.seed_for(m) for m in range(1, n + 1)}
-        # one bootstrap pass, then fine jump + coarse jump + sweep per iteration
-        assert set(seed_counts.values()) == {1 + 3 * k}
-        assert {count for _, count in calls} == {(params.substeps + 1) * initial.dim}
+        drawn = [seed for seed, _ in draws]
+        assert set(drawn) == {plan.seed_for(m) for m in range(1, n + 1)}
+        assert len(drawn) == n
+        assert {count for _, count in draws} == {(params.substeps + 1) * initial.dim}
 
     def test_blow_up_during_jump_reports_context(self):
         params = LangevinParams(gamma=0.0, inv_beta=0.0, dt=0.1, substeps=20)
@@ -582,6 +584,168 @@ class TestAdaptiveReal:
         config = PararealConfig(n_windows=6, delta_conv=1e-8, delta_expl=0.35)
         with pytest.raises(ValueError, match="plan"):
             parareal_adaptive(initial, pair, params, schedule, plan, config)
+
+
+def _window_callables(pair, params, schedule, plan):
+    """Per-window ``propagate_window`` propagators, the reference for the lean paths."""
+
+    def bind(pot):
+        def prop(state, m):
+            return propagate_window(state, pot, params, schedule, plan.seed_for(m + 1))
+
+        return prop
+
+    return bind(pair.fine), bind(pair.coarse)
+
+
+def _assert_same_run(result, states, slabs, history):
+    assert result.error_history == tuple(history)
+    assert result.slabs == tuple(slabs)
+    assert len(result.trajectory) == len(states)
+    for ours, ref in zip(result.trajectory, states):
+        assert ours.q.tobytes() == ref.q.tobytes()
+        assert ours.p.tobytes() == ref.p.tobytes()
+
+
+class TestPotentialPathsMatchHandTranscription:
+    """The wrappers' batched jumps, reused coarse values and lean sweep
+    against the from-scratch transcription run window by window."""
+
+    def test_adaptive_float_path_with_truncations(self):
+        n = 25
+        params = LangevinParams(gamma=0.5, inv_beta=0.4, dt=0.1, substeps=1)
+        schedule = TemperatureSchedule.robust(1)
+        plan = NoisePlan.for_windows(11, n)
+        pair = PropagatorPair(fine=DoubleWell(a=1.0, b=1.0), coarse=Harmonic(k=0.3))
+        config = PararealConfig(n_windows=n, delta_conv=1e-9, delta_expl=0.1)
+        result = parareal_adaptive(_state([-1.2]), pair, params, schedule, plan, config)
+        fine, coarse = _window_callables(pair, params, schedule, plan)
+        _assert_same_run(result, *_hand_adaptive(_state([-1.2]), fine, coarse, config))
+        assert result.converged
+        assert any(len(slab.attempts) > 1 for slab in result.slabs)
+
+    def test_adaptive_array_path_with_mixed_coefficients(self):
+        # a length-1 coefficient vector keeps the coarse gradient on arrays,
+        # so both propagators run on (1,) arrays
+        n = 30
+        initial, _, params, schedule, plan = _dw_setup(n, master=5)
+        pair = PropagatorPair(fine=DoubleWell(a=1.0, b=1.0), coarse=DoubleWell(a=[0.5], b=[1.3]))
+        config = PararealConfig(n_windows=n, delta_conv=1e-10, delta_expl=0.05)
+        result = parareal_adaptive(initial, pair, params, schedule, plan, config)
+        fine, coarse = _window_callables(pair, params, schedule, plan)
+        _assert_same_run(result, *_hand_adaptive(initial, fine, coarse, config))
+        assert any(len(slab.attempts) > 1 for slab in result.slabs)
+
+    @pytest.mark.parametrize("case", ["double-well", "lj7"])
+    def test_classic(self, case):
+        if case == "lj7":
+            n = 6
+            params = LangevinParams(gamma=1.0, inv_beta=0.05, dt=0.005, substeps=3)
+            ring = [(1.12 * np.cos(k * np.pi / 3), 1.12 * np.sin(k * np.pi / 3)) for k in range(6)]
+            initial = _state(np.array([(0.0, 0.0)] + ring).reshape(-1))
+            pair = PropagatorPair(
+                fine=LennardJonesCluster(n_atoms=7, space_dim=2),
+                coarse=LennardJonesCluster(n_atoms=7, space_dim=2, epsilon=0.8),
+            )
+            schedule = TemperatureSchedule.robust(3)
+            plan = NoisePlan.for_windows(17, n)
+        else:
+            n = 12
+            initial, pair, params, schedule, plan = _dw_setup(n)
+        config = PararealConfig(n_windows=n, delta_conv=1e-12)
+        result = parareal_classic(initial, pair, params, schedule, plan, config)
+        # the transcription with a threshold no sweep reaches is classic
+        hand_config = PararealConfig(n_windows=n, delta_conv=1e-12, delta_expl=1e300)
+        fine, coarse = _window_callables(pair, params, schedule, plan)
+        states, slabs, history = _hand_adaptive(initial, fine, coarse, hand_config)
+        _assert_same_run(result, states, slabs, history[n - 1 :: n])
+        assert result.converged and result.slabs[0].k_conv > 1
+
+
+class TestWorkPerIteration:
+    def test_jump_stages_never_call_coarse(self):
+        # the scripted adaptive trace of TestAdaptiveEngineScripted: slab 1
+        # explodes at node 2 of its first sweep and converges on [0, 1];
+        # slab 2 takes four sweeps over [1, 4]
+        events = []
+
+        def fine(state, m):
+            events.append(("F", m))
+            return _identity_fine(state, m)
+
+        def coarse(state, m):
+            events.append(("C", m))
+            return _halving_coarse(state, m)
+
+        config = PararealConfig(n_windows=4, delta_conv=1e-3, delta_expl=1.0)
+        result = parareal_adaptive_engine(_state([1.0]), fine, coarse, config)
+        assert result.total_iterations == 6
+
+        def stage(kind, windows):
+            return [(kind, m) for m in windows]
+
+        expected = (
+            stage("C", range(4))  # slab 1 bootstrap
+            + stage("F", range(4)) + stage("C", range(2))  # sweep explodes at node 2
+            + stage("F", range(1)) + stage("C", range(1))  # [0, 1] converges
+            + stage("C", range(1, 4))  # slab 2 bootstrap
+            + 4 * (stage("F", range(1, 4)) + stage("C", range(1, 4)))
+        )
+        assert events == expected
+
+    def test_one_batched_fine_call_per_iteration(self, monkeypatch):
+        n = 40
+        initial, pair, params, schedule, plan = _dw_setup(n, coarse=Harmonic(k=0.3))
+        rows_calls, one_calls = [], Counter()
+        real_rows, real_one = PlanWindows.rows, PlanWindows.one
+
+        def rows(self, qs, ps, m0):
+            rows_calls.append((self, m0, len(qs)))
+            return real_rows(self, qs, ps, m0)
+
+        def one(self, q, p, m):
+            one_calls[self] += 1
+            return real_one(self, q, p, m)
+
+        monkeypatch.setattr(PlanWindows, "rows", rows)
+        monkeypatch.setattr(PlanWindows, "one", one)
+        config = PararealConfig(n_windows=n, delta_conv=1e-10, delta_expl=0.1)
+        result = parareal_adaptive(initial, pair, params, schedule, plan, config)
+        assert result.converged and result.n_slab >= 2
+
+        fine = {w for w, _, _ in rows_calls}
+        assert len(fine) == 1 and set(one_calls).isdisjoint(fine)
+        expected = [
+            (slab.n_init, attempt.n_final - slab.n_init)
+            for slab in result.slabs
+            for attempt in slab.attempts
+            for _ in range(attempt.iterations)
+        ]
+        assert [(m0, width) for _, m0, width in rows_calls] == expected
+        # coarse: one window per bootstrap node, then one per sweep node
+        bootstrap = sum(n - slab.n_init for slab in result.slabs)
+        assert sum(one_calls.values()) == bootstrap + len(result.error_history)
+
+    def test_fine_blow_up_in_window_two_reports_its_context(self):
+        # the stiff fine well is at rest at its minimum q = 1, so window 1
+        # stays put; the coarse bootstrap moves node 1 off the minimum, and
+        # the fine window from there diverges (omega * dt is about 280)
+        params = LangevinParams(gamma=0.0, inv_beta=0.0, dt=0.1, substeps=20)
+        schedule = TemperatureSchedule.identity(20)
+        plan = NoisePlan.for_windows(3, 3)
+        pair = PropagatorPair(
+            fine=DoubleWell(a=1e6, b=1.0), coarse=DoubleWell(a=0.8, b=1.2),
+            cost_fine=2.0, cost_coarse=1.0,
+        )
+        config = PararealConfig(n_windows=3, delta_conv=1e-8)
+        node1 = sequential_propagate(_state([1.0]), 1, pair.coarse, params, schedule, plan)[1]
+        with pytest.raises(BlowUpError) as serial:
+            propagate_window(node1, pair.fine, params, schedule, plan.seed_for(2))
+        with pytest.raises(BlowUpError) as exc:
+            parareal_classic(_state([1.0]), pair, params, schedule, plan, config)
+        assert exc.value.window == 2
+        assert exc.value.iteration == 1
+        assert exc.value.substep == serial.value.substep is not None
 
 
 class TestRecordValidation:
