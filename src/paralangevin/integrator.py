@@ -44,6 +44,21 @@ BLOWUP_LIMIT = 1e12
 #: rows of Gaussian streams generated per call inside a free-particle chunk
 _NOISE_BLOCK_ROWS = 256
 
+#: parareal iterations in flight on the array path, at most; the engine
+#: starts fewer when few look needed (see :mod:`paralangevin.parareal`).  A
+#: batched call costs a fixed part plus a part per row: LJ-7 coarse, L = 2,
+#: one serial window 112 us, 1, 8, 24 and 64 rows 131, 189, 362 and 777 us;
+#: 3-D double well 60 us, and 87 to 111 us for 1 to 64 rows (BENCH_2.json).
+#: So a row in a call of 24 costs 0.14 of a serial window or less, and the
+#: cap mainly bounds the storage, depth + 1 iterates of (N + 1, d) each;
+#: only slabs of more than 24 iterations run faster deeper (BENCH_2.json).
+_WAVE_DEPTH = 24
+
+#: windows a follower starts behind its predecessor on the array path: one
+#: fine call then gives the jumps of that many steps, and a call of a few
+#: rows costs little more than a call of one (figures above).
+_WAVE_GAP = 4
+
 #: sampling modes for kinetic-temperature measurement
 ALL_SUBSTEPS = "all_substeps"
 WINDOW_ENDS = "window_ends"
@@ -253,9 +268,14 @@ class PlanWindows:
     otherwise; build them with :meth:`for_potentials`, which checks the
     state's dimension and picks one representation for all potentials.
     :meth:`one` advances one window on that lean serial path; :meth:`rows`
-    advances consecutive windows in one batched kernel call.  Both are
+    advances any set of windows in one batched kernel call.  Both are
     bitwise equal to :func:`propagate_window` with the plan's seed, and the
     noise comes from the plan's cache (:meth:`NoisePlan.noise`).
+
+    ``depth`` is how many parareal iterations the engine may keep in flight
+    on these windows, 1 on the float path and :data:`_WAVE_DEPTH` on the
+    array path, and ``gap`` how many windows a follower starts behind its
+    predecessor (see :mod:`paralangevin.parareal`).
     """
 
     def __init__(
@@ -276,6 +296,8 @@ class PlanWindows:
         self._d = d
         self._noise = plan.noise((params.substeps + 1) * d).reshape(plan.n_windows, -1, d)
         self.scalar = scalar
+        self.depth = 1 if scalar else _WAVE_DEPTH
+        self.gap = _WAVE_GAP
         if scalar:
             self._mass = float(mass[0])
             self._amps = [float(a[0]) for a in amps]
@@ -310,17 +332,24 @@ class PlanWindows:
             self._blocks[m], self._check,
         )
 
-    def rows(self, qs, ps, m0: int):
-        """Windows ``m0, m0 + 1, ...`` from the raw states ``qs[i], ps[i]``, in one call.
+    def rows(self, qs, ps, ms):
+        """Windows ``ms[i]`` (0-based) from the raw states ``qs[i], ps[i]``, in one call.
 
-        A :class:`BlowUpError` names the lowest window that leaves the
-        range and that window's own first bad substep, as a serial pass
-        over the windows would.
+        Returns ``(q_rows, p_rows, bad)``.  ``bad`` maps the index of every
+        row that left the range to a :class:`BlowUpError` naming that row's
+        window and its own first bad substep, as :meth:`one` would raise it;
+        such rows carry no usable state.  Nothing is raised.
         """
-        b = len(qs)
+        b = len(ms)
         q = np.array(qs, dtype=float).reshape(b, self._d)
         p = np.array(ps, dtype=float).reshape(b, self._d)
         first_bad = np.zeros(b, dtype=np.int64)
+        # consecutive windows are a view: no copy, and no release of the GIL,
+        # which would stall threads that run other runs meanwhile
+        if isinstance(ms, range):
+            noise = self._noise[ms.start : ms.stop]
+        else:
+            noise = self._noise.take(ms, axis=0)
 
         def mark(q, p, substep):
             ok = ((np.abs(q) <= BLOWUP_LIMIT) & (np.abs(p) <= BLOWUP_LIMIT)).all(axis=1)
@@ -330,16 +359,15 @@ class PlanWindows:
         with np.errstate(all="ignore"):
             q, p = _window_kernel(
                 q, p, self._grad, self._gamma, self._dt, self._mass, self._amps,
-                self._noise[m0 : m0 + b].swapaxes(0, 1), mark,
+                noise.swapaxes(0, 1), mark,
             )
-        bad = np.flatnonzero(first_bad)
-        if bad.size:
-            err = _blow_up(int(first_bad[bad[0]]))
-            err.window = m0 + int(bad[0]) + 1
-            raise err
+        bad = {}
+        for i in np.flatnonzero(first_bad).tolist():
+            bad[i] = err = _blow_up(int(first_bad[i]))
+            err.window = int(ms[i]) + 1
         if self.scalar:
-            return q[:, 0].tolist(), p[:, 0].tolist()
-        return list(q), list(p)
+            return q[:, 0].tolist(), p[:, 0].tolist(), bad
+        return q, p, bad
 
 
 def predicted_kinetic_temperature(substeps: int, inv_beta: float) -> float:

@@ -29,8 +29,39 @@ Two conventions matter for reproducibility:
 Only the work the method needs is done.  Every coarse output G(U_m) from the
 bootstrap and from each sweep is kept, and it is exactly the coarse value
 the next jump stage needs, so a jump stage never runs coarse: per iteration
-the coarse propagator runs once per node of the serial sweep, and the fine
-propagator runs over the whole slab in one batched call.
+the coarse propagator runs once per node of the sweep, and the fine
+propagator once per window.
+
+The iterations of a slab run as a wave (pipelined parareal: Aubanel,
+Parallel Computing 37, 2011; Ruprecht, Euro-Par 2017).  The bootstrap is
+iteration 0, and iteration k + 1 takes window m only once iteration k has
+taken it, so the iterations in flight always sit on distinct windows.  Each
+step makes one coarse call over the current window of every iteration in
+flight, and at most one fine call: only when a follower has run out of
+jumps, and then over every window each follower's predecessor has reached.
+While k stays within the depth, the k N serial windows of k sweeps become
+about N + g k batched steps (g the gap below), and every value is computed
+by the same expression as in a serial run, so results do not depend on the
+schedule:
+
+* The windows bound the schedule.  ``depth`` caps the iterations in flight
+  and ``gap`` is how many windows a follower starts behind its predecessor
+  (so one fine call serves that many steps).  Depth is 1 on the float path
+  (d = 1), where a window costs about 2 us and a batched call about 70 us,
+  and for plain callables; there each iteration makes one fine call over its
+  whole slab and then sweeps it window by window.  On the array path they
+  are ``integrator._WAVE_DEPTH`` and ``integrator._WAVE_GAP``.
+* Followers start on evidence.  A follower starts only while more than half
+  of the iterations in flight will almost surely be followed in a serial
+  run: the bootstrap, a sweep that cut the slab, a sweep whose running error
+  already reached ``delta_conv``.  A slab that converges in a few iterations
+  thus keeps few in flight, and one that needs many fills the depth.
+* Speculation leaves no trace.  An iteration that a serial run would never
+  start (its predecessor converged, reached ``iteration_cap`` or cut the
+  slab short of its windows) is dropped with its work and its errors.
+* Errors are deferred.  An iteration's errors are raised only when it is
+  the oldest in flight, in serial order: first a fine blow-up, naming the
+  lowest bad window of its range, then the first error of its own sweep.
 
 The ``*_engine`` functions take the propagators either as plain callables
 ``(state, m) -> PhaseState``, where ``m`` is the 0-based window index (so
@@ -38,9 +69,9 @@ scripted propagators can be tested against hand-executed traces; they run
 row by row), or as :class:`~paralangevin.integrator.PlanWindows`.  The
 ``parareal_*`` wrappers build the latter: potential-driven windows on a
 shared noise plan (fine and coarse consume the same seed for the same
-window, at every iteration), batched in the jump stage and on Python floats
-(d = 1) or raw arrays in the serial sweep.  No ``PhaseState`` is built
-inside the loop; the trajectory's states are built once at the end.
+window, at every iteration), on Python floats (d = 1) or raw arrays.  No
+``PhaseState`` is built inside the loop; the trajectory's states are built
+once at the end.
 """
 
 from __future__ import annotations
@@ -48,6 +79,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -250,7 +282,9 @@ def relative_error(a, b, n_init: int, n_final: int) -> float:
     return num / den
 
 
-def _attach_context(err: BlowUpError, window, iteration) -> None:
+def _attach_context(err: Exception, window, iteration) -> None:
+    if not isinstance(err, BlowUpError):
+        return
     if err.window is None:
         err.window = window
     if err.iteration is None:
@@ -265,22 +299,17 @@ def _one(prop, q, p, m: int, iteration):
         raise
 
 
-def _rows(prop, qs, ps, m0: int, iteration: int):
-    try:
-        return prop.rows(qs, ps, m0)
-    except BlowUpError as err:
-        _attach_context(err, window=None, iteration=iteration)
-        raise
-
-
 class _Scripted:
     """Row-by-row adapter that gives a plain ``(state, m)`` callable the
-    :class:`PlanWindows` interface on ``(d,)`` array raw states."""
+    :class:`PlanWindows` interface on ``(d,)`` array raw states.  Its depth
+    and gap are 1 unless a test asks for others."""
 
     scalar = False
 
-    def __init__(self, prop: WindowPropagator) -> None:
+    def __init__(self, prop: WindowPropagator, depth: int = 1, gap: int = 1) -> None:
         self._prop = prop
+        self.depth = depth
+        self.gap = gap
 
     def raw(self, state: PhaseState):
         return state.q, state.p
@@ -292,13 +321,27 @@ class _Scripted:
         out = self._prop(PhaseState(q=q, p=p), m)
         return out.q, out.p
 
-    def rows(self, qs, ps, m0: int):
-        out = [_one(self, q, p, m0 + i, None) for i, (q, p) in enumerate(zip(qs, ps))]
-        return [q for q, _ in out], [p for _, p in out]
+    def rows(self, qs, ps, ms):
+        """:meth:`PlanWindows.rows` one row at a time; any exception a row
+        raises is reported as that row's error.  A script may keep state, so
+        the rows after the first bad one are not run and not returned; the
+        engine never reads them."""
+        out_q, out_p, bad = [], [], {}
+        for q, p, m in zip(qs, ps, map(int, ms)):
+            try:
+                q, p = self.one(q, p, m)
+            except Exception as err:
+                _attach_context(err, window=m + 1, iteration=None)
+                bad[len(out_q)] = err
+                break
+            out_q.append(q)
+            out_p.append(p)
+        d = np.shape(qs)[1]
+        return np.reshape(out_q, (-1, d)), np.reshape(out_p, (-1, d)), bad
 
 
 def _windows(prop):
-    return prop if isinstance(prop, PlanWindows) else _Scripted(prop)
+    return prop if isinstance(prop, (PlanWindows, _Scripted)) else _Scripted(prop)
 
 
 def _check_plan(plan: NoisePlan, n_windows: int) -> None:
@@ -342,30 +385,327 @@ def _close_attempt(attempts, n_init, n_final, iterations):
     attempts.append(SlabAttempt(n_final=n_final, iterations=iterations))
 
 
+def _storage(scalar: bool, n_slots: int, n: int, d: int):
+    """Storage allocated once per run, as lists of floats on the float path
+    and arrays otherwise: nodes ``0..n`` (q, p) of ``n_slots`` iterates, and
+    one value per window ``0..n-1`` (q, p) that the iterations share.
+
+    Window m's shared value is G(U_m) of the last iteration to take window
+    m, until the fine stage of the next one turns it into that one's jump
+    F(U_m) - G(U_m), which that iteration reads when it takes window m and
+    then replaces by its own G(U_m).  Iterations take a window in order, so
+    one value per window suffices.
+    """
+    if scalar:
+        return (
+            [[None] * (n + 1) for _ in range(n_slots)], [[None] * (n + 1) for _ in range(n_slots)],
+            [None] * n, [None] * n,
+        )
+    return (
+        np.empty((n_slots, n + 1, d)), np.empty((n_slots, n + 1, d)),
+        np.empty((n, d)), np.empty((n, d)),
+    )
+
+
+class _Sweep:
+    """One iteration of a slab: its bootstrap (``k = 0``) or a corrected sweep.
+
+    ``q[n], p[n]`` are its nodes, storage slot ``slot``.  Windows
+    ``n_init .. pos - 1`` are done, and its jumps (from ``prev``) are known
+    below window ``jumps`` (for the bootstrap, which takes none, ``end``).
+    The sweep ends at ``end``, or at the window ``cut`` whose node crossed
+    the explosion threshold.  ``fine_error`` (its jump stage) and ``error``
+    (its own sweep) are held until the sweep is the oldest in flight.
+    """
+
+    __slots__ = (
+        "k", "prev", "slot", "q", "p", "pos", "jumps", "end",
+        "num", "den", "deltas", "cut", "error", "fine_error",
+    )
+
+    def __init__(self, k, prev, slot, q, p, n_init, end):
+        self.k, self.prev, self.slot = k, prev, slot
+        self.q, self.p = q, p
+        self.pos = self.jumps = n_init
+        self.end = end
+        self.num = self.den = 0.0
+        self.deltas = []
+        self.cut = self.error = self.fine_error = None
+
+    @property
+    def done(self) -> bool:
+        return self.cut is not None or self.pos == self.end
+
+    @property
+    def follower_end(self) -> int:
+        return self.end if self.cut is None else self.cut
+
+
+def _leads(t, conv) -> bool:
+    """Whether a serial run will almost surely start the iteration after
+    ``t``: ``t`` is the bootstrap, cut the slab, or has a running error at
+    or above ``conv`` (the error rarely falls along a sweep, as each node
+    adds its own error to the sum)."""
+    return t.k == 0 or t.cut is not None or bool(t.deltas) and t.deltas[-1] >= conv
+
+
+def _wave(q0, p0, n_init, n, fine, coarse, depth, gap, storage, cap, conv, expl, n_slab):
+    """Yield the iterations of the slab opening at node ``n_init``, bootstrap
+    first, each once its sweep is done; see the module docstring.
+
+    Up to ``depth`` iterations are in flight, iteration ``k`` in node slot
+    ``k % len(storage[0])`` (see :func:`_storage`).  A step starts at most
+    one follower, makes at most one fine call (when a follower has run out
+    of jumps; it gives every follower the jumps of all windows its
+    predecessor has reached), then one coarse call over the current windows
+    of all ready iterations, oldest first.  A follower starts ``gap``
+    windows behind its predecessor, and only while ``cap`` lets it run and
+    more than half of the iterations in flight lead (see :func:`_leads`);
+    an iteration's error or convergence drops its followers, which no
+    depth-1 run would start.  Errors are held, whatever their type, and
+    raised when their iteration is the next to be yielded.
+    """
+    scalar = coarse.scalar
+    norm, finite = (_norm_float, _finite_float) if scalar else (_norm_array, _finite_array)
+    one = coarse.one
+    Q, P, GQ, GP = storage
+
+    def start(k, prev, end):
+        slot = k % len(Q)
+        s = _Sweep(k, prev, slot, Q[slot], P[slot], n_init, end)
+        s.q[n_init], s.p[n_init] = q0, p0
+        if prev is None:
+            s.jumps = end  # the bootstrap takes no jumps
+        elif n_init >= 1:
+            s.num += norm(q0 - prev.q[n_init])
+            s.den += norm(prev.q[n_init])
+        return s
+
+    def converged(s) -> bool:
+        return s.k > 0 and s.cut is None and s.pos == s.end and s.deltas[-1] < conv
+
+    def node(s, m, ok, step, x) -> bool:
+        """Account for the corrected node ``m + 1`` of ``s``: ``ok`` if it is
+        finite, ``step`` its position minus the reference position ``x``.
+        False when the node crossed the threshold and cut the slab at ``m``."""
+        if not ok:
+            raise BlowUpError(
+                f"corrected state is not finite at window {m + 1} (iteration {s.k})",
+                window=m + 1,
+                iteration=s.k,
+            )
+        s.num += norm(step)
+        s.den += norm(x)
+        if s.den == 0.0:
+            raise DegenerateNormalizationError(
+                f"all reference positions on nodes {max(n_init, 1)}..{m + 1} are zero"
+            )
+        delta = s.num / s.den
+        s.deltas.append(delta)
+        if delta > expl:
+            if m == n_init:
+                raise SlabCollapseError(
+                    f"slab {n_slab} exploded at its first window {n_init + 1}; "
+                    "no shorter slab exists",
+                    slab_index=n_slab,
+                    n_init=n_init,
+                )
+            s.cut = s.pos = m
+            return False
+        return True
+
+    def advance(s, hi):
+        """Take ``s`` through windows ``s.pos .. hi - 1``, one coarse window at a time."""
+        q, p, gq, gp = s.q, s.p, GQ, GP
+        m = s.pos
+        try:
+            if s.prev is None:
+                for m in range(s.pos, hi):
+                    bq, bp = one(q[m], p[m], m)
+                    q[m + 1] = gq[m] = bq
+                    p[m + 1] = gp[m] = bp
+            else:
+                pq = s.prev.q
+                for m in range(s.pos, hi):
+                    bq, bp = one(q[m], p[m], m)
+                    q[m + 1] = nq = bq + gq[m]  # the jump, replaced by G(U_m) next
+                    p[m + 1] = np_ = bp + gp[m]
+                    gq[m], gp[m] = bq, bp
+                    x = pq[m + 1]
+                    if not node(s, m, finite(nq, np_), nq - x, x):
+                        return
+            s.pos = hi
+        except Exception as err:  # held until s is the oldest in flight
+            _attach_context(err, window=m + 1, iteration=s.k)
+            s.error, s.pos = err, m
+
+    def fine_stage(requests):
+        """One fine call for ``requests``, ``(sweep, a, b)`` oldest first:
+        the jumps of windows ``a .. b - 1`` from each sweep's predecessor.
+        The first bad row's error goes to its sweep, whose index in
+        ``requests`` is returned (``None`` when every row is good)."""
+        if scalar:  # depth 1: one request
+            ((s, a, b),) = requests
+            fq, fp, bad = fine.rows(s.prev.q[a:b], s.prev.p[a:b], range(a, b))
+            first = min(bad, default=b - a)
+            GQ[a : a + first] = [f - g for f, g in zip(fq, GQ[a : a + first])]
+            GP[a : a + first] = [f - g for f, g in zip(fp, GP[a : a + first])]
+        else:
+            rows = [(s.prev.slot, m) for s, a, b in requests for m in range(a, b)]
+            slot, ms = np.array(rows).T
+            fq, fp, bad = fine.rows(Q[slot, ms], P[slot, ms], ms)
+            first = min(bad, default=len(rows))
+            ms = ms[:first]
+            GQ[ms] = fq[:first] - GQ[ms]
+            GP[ms] = fp[:first] - GP[ms]
+        i = 0
+        for r, (s, a, b) in enumerate(requests):
+            s.jumps = a + min(b - a, first - i)
+            if s.jumps < b:
+                s.fine_error = bad[first]
+                _attach_context(s.fine_error, window=None, iteration=s.k)
+                return r
+            i += b - a
+        return None
+
+    def coarse_stage(ready):
+        """One coarse call over the current windows of ``ready`` (array
+        path, oldest first), then their node updates in that order."""
+        slot = np.array([t.slot for t in ready])
+        ms = np.array([t.pos for t in ready])
+        cq, cp, bad = coarse.rows(Q[slot, ms], P[slot, ms], ms)
+        first = min(bad, default=len(ready))
+        boot = ready[0].prev is None  # the bootstrap, when in flight, is the oldest
+        up = slot[boot:first], ms[boot:first] + 1  # nodes the corrected rows set
+        prev = np.array([t.prev.slot for t in ready[boot:first]], dtype=np.int64)
+        nq = cq[boot:first] + GQ[ms[boot:first]]
+        np_ = cp[boot:first] + GP[ms[boot:first]]
+        x = Q[prev, up[1]]
+        GQ[ms[:first]], GP[ms[:first]] = cq[:first], cp[:first]
+        if boot and first:
+            Q[slot[0], ms[0] + 1], P[slot[0], ms[0] + 1] = cq[0], cp[0]
+            ready[0].pos += 1
+        Q[up], P[up] = nq, np_
+        ok = (np.isfinite(nq).all(axis=1) & np.isfinite(np_).all(axis=1)).tolist()
+        step = nq - x
+        for i in range(boot, first):
+            t, m, j = ready[i], int(ms[i]), i - boot
+            try:
+                if node(t, m, ok[j], step[j], x[j]):
+                    t.pos = m + 1
+            except Exception as err:  # held until t is the oldest in flight
+                t.error = err
+            if not after(t):
+                return
+        if first < len(ready):
+            t = ready[first]
+            t.error = bad[first]
+            _attach_context(t.error, window=None, iteration=t.k)
+            after(t)
+
+    def after(t) -> bool:
+        """Bookkeeping once ``t`` took a window: an error or convergence
+        drops its followers (false: stop there); a cut shortens them."""
+        nonlocal cut_k
+        younger = flight.index(t) + 1
+        if t.error is not None or converged(t):
+            del flight[younger:]
+            return False
+        if t.cut is not None:
+            cut_k = max(cut_k, t.k)
+            for u in flight[younger:]:
+                u.end = min(u.end, t.cut)
+        return True
+
+    flight = [start(0, None, n)]
+    cut_k = 0  # the last iteration known to have cut the slab
+    while True:
+        s = flight[0]
+        if (s.error is not None or s.done) and s.fine_error is None and s.jumps < s.end:
+            # depth-1 order: the jump stage covers the whole range before the
+            # sweep starts, whatever the sweep then does
+            fine_stage([(s, s.jumps, s.end)])
+        if s.error is not None or s.fine_error is not None:
+            raise s.fine_error or s.error
+        if s.done:
+            del flight[0]
+            s.prev = None
+            yield s
+            if not flight:
+                flight.append(start(s.k + 1, s, s.follower_end))
+            continue
+        y = flight[-1]
+        grow = (
+            len(flight) < depth
+            and y.error is None
+            and y.fine_error is None
+            and y.k - cut_k < cap
+            and not converged(y)
+            and 2 * sum(_leads(t, conv) for t in flight) > len(flight)
+        )
+        if grow and y.pos >= min(n_init + gap, y.follower_end):
+            flight.append(start(y.k + 1, y, y.follower_end))
+        # a fine call only when a follower ran out of jumps; it then gives
+        # every follower the jumps of all windows its predecessor has reached
+        requests = [
+            (t, t.jumps, min(t.prev.pos, t.end))
+            for t in flight
+            if t.prev is not None and t.error is None and t.fine_error is None
+            and t.jumps < min(t.prev.pos, t.end)
+        ]
+        if any(t.jumps == t.pos for t, _, _ in requests):
+            r = fine_stage(requests)
+            if r is not None:
+                del flight[flight.index(requests[r][0]) + 1 :]
+        ready = [
+            t for t in flight
+            if t.error is None and t.fine_error is None and not t.done and t.jumps > t.pos
+        ]
+        if len(ready) == 1:
+            # when nothing else can move until t is done, t goes as far as its
+            # jumps go; otherwise one window, like the batched step
+            t = ready[0]
+            alone = not grow and all(u.done for u in flight if u is not t)
+            advance(t, t.jumps if alone else t.pos + 1)
+            after(t)
+        elif ready:
+            coarse_stage(ready)
+
+
+def _commit(cur_q, cur_p, sweep, n_init) -> None:
+    """Write the nodes ``sweep`` set into the current iterate, as a serial
+    run overwrites them: up to its end, or to the node past its cut."""
+    last = sweep.end if sweep.cut is None else sweep.cut + 1
+    cur_q[n_init + 1 : last + 1] = sweep.q[n_init + 1 : last + 1]
+    cur_p[n_init + 1 : last + 1] = sweep.p[n_init + 1 : last + 1]
+
+
 def _parareal_loop(initial, fine, coarse, config, delta_expl, record_iterates=False):
     """Slab-shortening parareal with explosion threshold ``delta_expl``.
 
     With ``delta_expl = inf`` no sweep can explode, so the run is one slab of
     one attempt over the whole range: classic parareal.  ``fine`` and
-    ``coarse`` are :class:`PlanWindows` or :class:`_Scripted`; states are
-    kept raw as ``cur_q[n], cur_p[n]`` and ``g_q[m], g_p[m]`` holds the
-    coarse output of window ``m`` from the current ``cur[m]``.
+    ``coarse`` are :class:`PlanWindows` or :class:`_Scripted`; each slab's
+    iterations come from :func:`_wave` in iteration order, and ``cur_q[n],
+    cur_p[n]`` holds every node as the last iteration to reach it left it.
     """
     n = config.n_windows
     conv, expl = config.delta_conv, delta_expl
     mid = 0.5 * (conv + expl)
-    norm, finite = (_norm_float, _finite_float) if coarse.scalar else (_norm_array, _finite_array)
+    depth = min(fine.depth, coarse.depth)
+    # node slots for the iterations in flight and the predecessor of the oldest
+    storage = _storage(coarse.scalar, depth + 1, n, initial.dim)
 
     def trajectory():
         return NodeTrajectory(
             (initial,) + tuple(coarse.state(q, p) for q, p in zip(cur_q[1:], cur_p[1:]))
         )
 
-    q0, p0 = coarse.raw(initial)
-    cur_q = [q0] + [None] * n
-    cur_p = [p0] + [None] * n
-    g_q = [None] * n
-    g_p = [None] * n
+    if coarse.scalar:
+        cur_q, cur_p = [None] * (n + 1), [None] * (n + 1)
+    else:
+        cur_q, cur_p = np.empty((n + 1, initial.dim)), np.empty((n + 1, initial.dim))
+    cur_q[0], cur_p[0] = coarse.raw(initial)
     iterates: list[NodeTrajectory] = []
     n_init = 0
     n_final = 0
@@ -383,13 +723,14 @@ def _parareal_loop(initial, fine, coarse, config, delta_expl, record_iterates=Fa
             # on the whole remaining range and bootstrap it coarsely
             n_init = n_final
             n_final = n
-            for m in range(n_init, n):
-                q, p = _one(coarse, cur_q[m], cur_p[m], m, 0)
-                g_q[m] = cur_q[m + 1] = q
-                g_p[m] = cur_p[m + 1] = p
+            n_slab += 1
+            wave = _wave(
+                cur_q[n_init], cur_p[n_init], n_init, n, fine, coarse, depth, fine.gap, storage,
+                config.iteration_cap, conv, expl, n_slab,
+            )
+            _commit(cur_q, cur_p, next(wave), n_init)
             if record_iterates:
                 iterates.append(trajectory())
-            n_slab += 1
             attempts = []
             k_in_slab = 0
         delta = mid
@@ -399,52 +740,15 @@ def _parareal_loop(initial, fine, coarse, config, delta_expl, record_iterates=Fa
             if k_attempt >= config.iteration_cap:
                 aborted = True
                 break
-            prev_q = list(cur_q)
-            # jumps F(U_m) - G(U_m) over the slab: one batched fine call,
-            # and the coarse values kept from the bootstrap or last sweep
-            f_q, f_p = _rows(
-                fine, cur_q[n_init:n_final], cur_p[n_init:n_final], n_init, k_in_slab + 1
-            )
-            jump_q = [f - g for f, g in zip(f_q, g_q[n_init:n_final])]
-            jump_p = [f - g for f, g in zip(f_p, g_p[n_init:n_final])]
+            sweep = next(wave)
             k_attempt += 1
             k_in_slab += 1
-            num, den = 0.0, 0.0
-            if n_init >= 1:
-                num += norm(cur_q[n_init] - prev_q[n_init])
-                den += norm(prev_q[n_init])
-            for m in range(n_init, n_final):
-                base_q, base_p = _one(coarse, cur_q[m], cur_p[m], m, k_in_slab)
-                g_q[m], g_p[m] = base_q, base_p
-                q = base_q + jump_q[m - n_init]
-                p = base_p + jump_p[m - n_init]
-                if not finite(q, p):
-                    raise BlowUpError(
-                        f"corrected state is not finite at window {m + 1} "
-                        f"(iteration {k_in_slab})",
-                        window=m + 1,
-                        iteration=k_in_slab,
-                    )
-                cur_q[m + 1], cur_p[m + 1] = q, p
-                num += norm(q - prev_q[m + 1])
-                den += norm(prev_q[m + 1])
-                if den == 0.0:
-                    raise DegenerateNormalizationError(
-                        f"all reference positions on nodes {max(n_init, 1)}..{m + 1} are zero"
-                    )
-                delta = num / den
-                history.append((n_slab, k_in_slab, delta))
-                if delta > expl:
-                    if m == n_init:
-                        raise SlabCollapseError(
-                            f"slab {n_slab} exploded at its first window "
-                            f"{n_init + 1}; no shorter slab exists",
-                            slab_index=n_slab,
-                            n_init=n_init,
-                        )
-                    _close_attempt(attempts, n_init, n_final, k_attempt)
-                    n_final = m
-                    break
+            history.extend(zip(repeat(n_slab), repeat(k_in_slab), sweep.deltas))
+            _commit(cur_q, cur_p, sweep, n_init)
+            delta = sweep.deltas[-1]
+            if sweep.cut is not None:
+                _close_attempt(attempts, n_init, n_final, k_attempt)
+                n_final = sweep.cut
             if record_iterates:
                 iterates.append(trajectory())
         if aborted or delta < conv:

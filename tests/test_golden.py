@@ -59,6 +59,28 @@ def _sweep() -> dict:
     return cfg
 
 
+def _adaptive_vector() -> dict:
+    """Adaptive parareal on a 3-D DoubleWell, 100 windows: the array path.
+
+    Every slab but the last truncates after its first sweep, which runs
+    while the slab's bootstrap is still in flight when sweeps overlap.
+    """
+    return {
+        "experiment": "parareal_adaptive",
+        "master_seed": 23,
+        "params": {"gamma": 0.5, "inv_beta": 0.4, "dt": 0.05, "substeps": 2},
+        "schedule": "robust",
+        "potential": {
+            "fine": {"kind": "double_well", "a": [1.0, 1.2, 0.9], "b": [1.0, 1.1, 1.0]},
+            "coarse": {"kind": "double_well", "a": [0.8, 1.0, 0.7], "b": [1.0, 1.1, 1.0]},
+            "cost_fine": 175.0,
+            "cost_coarse": 1.0,
+        },
+        "initial": {"q": [-1.0, 0.9, -0.8]},
+        "parareal": {"n_windows": 100, "delta_conv": 1e-10, "delta_expl": 0.05},
+    }
+
+
 def _temperature() -> dict:
     cfg = _shipped("temperature.json")
     cfg["temperature"]["n_windows"] = 20_000  # shipped: 200,000
@@ -86,6 +108,7 @@ def _classic_lj7() -> dict:
 
 CASES = {
     "adaptive": ("adaptive", _adaptive),
+    "adaptive-vector": ("adaptive", _adaptive_vector),
     "ensemble": ("ensemble", _ensemble),
     "parareal": ("parareal", lambda: _shipped("parareal.json")),
     "sequential": ("sequential", lambda: _shipped("sequential.json")),
@@ -99,6 +122,11 @@ GOLDEN = {
         "history.csv": "d3cd17870d228759ba839f8aaa1c43a0e76aea3d4f5629421307aec55a6a861f",
         "result.json": "83cc26e036673fc575aa36ad0e427d907f71f57b87dfb8d2f1e2b2483bfb5127",
         "trajectory.csv": "6792cd0b32b46971f35c8966b8534ba786aa0de812a446789daaaac679c8e33b",
+    },
+    "adaptive-vector": {
+        "history.csv": "9651cdee5fc9e0fbc690188dc8a199c894accf3bd3378123c0a24973bf872840",
+        "result.json": "a22294e1bc8d65ca96f42aa1d96f5182e67df92ba0cbd79e495a093036636ec6",
+        "trajectory.csv": "366a56fea7bed6766c562e5310a325c20ee032b385046cd4babf301512e73e04",
     },
     "classic-lj7": {
         "history.csv": "5c401616d82aa8bad951ea8a51b8dd0c3f7f99b5b77e35d26d25ef09c2f22b70",

@@ -724,16 +724,21 @@ class TestPlanWindows:
             )
             for _ in range(n_rows)
         ]
+        # any window indices, in any order and with repeats, as the
+        # pipelined engine gathers them from several iterations
+        windows = st.integers(0, m0 + n_rows - 1)
+        ms = data.draw(st.lists(windows, min_size=n_rows, max_size=n_rows))
         expected = [
-            propagate_window(s, pot, params, schedule, plan.seed_for(m0 + i + 1))
-            for i, s in enumerate(starts)
+            propagate_window(s, pot, params, schedule, plan.seed_for(m + 1))
+            for m, s in zip(ms, starts)
         ]
         (windows,) = PlanWindows.for_potentials([pot], params, schedule, plan, starts[0])
         raw = [windows.raw(s) for s in starts]
-        qs, ps = windows.rows([q for q, _ in raw], [p for _, p in raw], m0)
+        qs, ps, bad = windows.rows([q for q, _ in raw], [p for _, p in raw], ms)
+        assert bad == {}
         for i, ref in enumerate(expected):
             assert _window_bytes(qs[i], ps[i]) == _window_bytes(ref.q, ref.p)
-            q1, p1 = windows.one(*raw[i], m0 + i)
+            q1, p1 = windows.one(*raw[i], ms[i])
             assert _window_bytes(q1, p1) == _window_bytes(ref.q, ref.p)
             assert windows.state(q1, p1) == ref
 
@@ -769,7 +774,15 @@ class TestPlanWindows:
         (windows,) = PlanWindows.for_potentials(
             [pot], params, schedule, plan, PhaseState(q=[0.0], p=[0.0])
         )
-        with pytest.raises(BlowUpError, match="substep") as exc:
-            windows.rows(starts, [0.0, 0.0, 0.0], 0)
-        assert exc.value.window == 2
-        assert exc.value.substep == substeps[0]
+        qs, _, bad = windows.rows(starts, [0.0, 0.0, 0.0], range(3))
+        assert sorted(bad) == [1, 2] and qs[0] == 0.0
+        lowest = bad[min(bad)]
+        assert isinstance(lowest, BlowUpError) and "substep" in str(lowest)
+        assert lowest.window == 2
+        assert lowest.substep == substeps[0]
+        assert (bad[2].window, bad[2].substep) == (3, substeps[1])
+        # rows name their own windows whatever order they come in
+        _, _, bad = windows.rows(starts[::-1], [0.0, 0.0, 0.0], [2, 1, 0])
+        assert {i: (e.window, e.substep) for i, e in bad.items()} == {
+            0: (3, substeps[1]), 1: (2, substeps[0])
+        }

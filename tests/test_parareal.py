@@ -12,13 +12,18 @@ same floats.
 from __future__ import annotations
 
 import itertools
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import paralangevin.integrator as integrator_module
 import paralangevin.rng as rng_module
 from paralangevin.integrator import PlanWindows
+from paralangevin.parareal import _Scripted as Scripted
 from paralangevin import (
     BlowUpError,
     DegenerateNormalizationError,
@@ -90,7 +95,19 @@ def _hand_adaptive(initial, fine, coarse, config):
         delta = mid
         k_attempt = 0
         while conv <= delta <= expl:
-            assert k_attempt < config.iteration_cap, "hand traces are expected to converge"
+            if k_attempt >= config.iteration_cap:
+                # abort: close the attempt and its slab, keep every node as is
+                attempts.append(SlabAttempt(n_final, k_attempt))
+                slabs.append(
+                    SlabRecord(
+                        slab_index=n_slab,
+                        n_init=n_init,
+                        attempts=tuple(attempts),
+                        n_final=n_final,
+                        k_conv=sum(a.iterations for a in attempts),
+                    )
+                )
+                return cur, slabs, history
             prev = list(cur)
             k_attempt += 1
             k_in_slab += 1
@@ -699,9 +716,9 @@ class TestWorkPerIteration:
         rows_calls, one_calls = [], Counter()
         real_rows, real_one = PlanWindows.rows, PlanWindows.one
 
-        def rows(self, qs, ps, m0):
-            rows_calls.append((self, m0, len(qs)))
-            return real_rows(self, qs, ps, m0)
+        def rows(self, qs, ps, ms):
+            rows_calls.append((self, ms[0], len(qs)))
+            return real_rows(self, qs, ps, ms)
 
         def one(self, q, p, m):
             one_calls[self] += 1
@@ -808,3 +825,339 @@ class TestRecordValidation:
             PararealResult(
                 trajectory=trajectory, slabs=(slab,), error_history=(), converged=True
             )
+
+
+# -- pipelined sweeps: every depth is the depth-1 run, byte for byte ---------
+
+PIPELINE_DEPTHS = [2, 3, 5, 64]
+PIPELINE_GAPS = [1, 4]
+POTENTIAL_KINDS = ["double-well", "harmonic-coarse", "lj3", "stiff-fine", "stiff-coarse"]
+
+
+def _result_bytes(result):
+    def nodes(trajectory):
+        return tuple(s.q.tobytes() + s.p.tobytes() for s in trajectory)
+
+    return (
+        nodes(result.trajectory),
+        result.slabs,
+        tuple((s, k, e.hex()) for s, k, e in result.error_history),
+        result.converged,
+        None if result.iterates is None else tuple(nodes(t) for t in result.iterates),
+    )
+
+
+def _outcome(run, depth, gap=1):
+    """Everything ``run(depth, gap)`` shows: its result bytes or the raised
+    exception's type, message and fields, plus every warning in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            shown = ("result", _result_bytes(run(depth, gap)))
+        except (BlowUpError, ValueError, SlabCollapseError) as err:
+            fields = ("window", "iteration", "substep", "slab_index", "n_init")
+            values = tuple(getattr(err, f, None) for f in fields)
+            # plain ints, as a manifest writes them to JSON
+            assert all(v is None or type(v) is int for v in values), values
+            shown = ("raised", type(err), str(err)) + values
+    return shown, [(w.category, str(w.message)) for w in caught]
+
+
+def _scripted_pair(gain_f, gain_c, tilt, limit_f, limit_c):
+    """Pure nonlinear scripted propagators on ``(d,)`` arrays that fail once
+    a position leaves ``[-limit, limit]``: a BlowUpError in odd windows, a
+    plain ValueError in even ones."""
+
+    def make(gain, shift, limit):
+        def prop(state, m):
+            q = gain * state.q + 0.3 * np.sin(tilt * state.q + 0.1 * m + shift) + 0.05 * state.p
+            p = 0.9 * state.p - 0.2 * state.q
+            if np.abs(q).max() > limit:
+                if m % 2 == 0:
+                    raise ValueError(f"scripted window {m} left the range")
+                raise BlowUpError("scripted window left the range", substep=1 + m % 3)
+            return PhaseState(q=q, p=p)
+
+        return prop
+
+    return make(gain_f, 0.0, limit_f), make(gain_c, 0.4, limit_c)
+
+
+_scripted_cases = st.fixed_dictionaries(
+    {
+        "n": st.integers(1, 14),
+        "q0": st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=3),
+        "gain_f": st.floats(0.8, 1.3),
+        "gain_c": st.floats(0.8, 1.3),
+        "tilt": st.floats(0.5, 3.0),
+        "limit_f": st.sampled_from([np.inf, 8.0, 3.0]),
+        "limit_c": st.sampled_from([np.inf, 8.0, 3.0]),
+        "conv": st.sampled_from([0.3, 1e-3, 1e-9]),
+        "expl": st.sampled_from([None, 0.02, 0.1, 0.5, 2.0]),
+        "k_max": st.sampled_from([None, 1, 2, 4]),
+    }
+)
+
+
+def _scripted_run(case, fine, coarse):
+    """``run(depth, gap)`` for scripted propagators, classic when ``expl`` is None."""
+    initial = _state(case["q0"])
+
+    def windows(depth, gap):
+        return Scripted(fine, depth, gap), Scripted(coarse, depth, gap)
+
+    if case["expl"] is None:
+        config = PararealConfig(n_windows=case["n"], delta_conv=case["conv"], k_max=case["k_max"])
+        return lambda depth, gap=1: parareal_classic_engine(
+            initial, *windows(depth, gap), config, record_iterates=True
+        )
+    conv = min(case["conv"], 0.1 * case["expl"])
+    config = PararealConfig(
+        n_windows=case["n"], delta_conv=conv, delta_expl=case["expl"], k_max=case["k_max"]
+    )
+    return lambda depth, gap=1: parareal_adaptive_engine(initial, *windows(depth, gap), config)
+
+
+def _potential_run(kind, n, master, conv, expl, k_max):
+    """``run(depth, gap)`` for a potential pair of ``POTENTIAL_KINDS`` on the
+    array path, classic when ``expl`` is None."""
+    params = LangevinParams(gamma=0.5, inv_beta=0.4, dt=0.05, substeps=2)
+    schedule = TemperatureSchedule.robust(2)
+    if kind == "double-well":
+        pair = PropagatorPair(
+            fine=DoubleWell(a=[1.0, 1.2], b=[1.0, 0.8]),
+            coarse=DoubleWell(a=[0.7, 1.0], b=[1.0, 0.8]),
+        )
+        initial = _state([-1.0, 0.7])
+    elif kind == "harmonic-coarse":
+        pair = PropagatorPair(fine=DoubleWell(a=[1.0], b=[1.0]), coarse=Harmonic(k=[0.3]))
+        initial = _state([-1.2])
+    elif kind == "lj3":
+        pair = PropagatorPair(
+            fine=LennardJonesCluster(n_atoms=3, space_dim=2),
+            coarse=LennardJonesCluster(n_atoms=3, space_dim=2, sigma=0.97),
+        )
+        initial = _state([0.0, 0.0, 1.12, 0.0, 0.56, 0.97])
+    else:  # "stiff-fine", "stiff-coarse": deterministic blow-ups (omega * dt up to ~280)
+        params = LangevinParams(gamma=0.0, inv_beta=0.0, dt=0.1, substeps=20)
+        schedule = TemperatureSchedule.identity(20)
+        stiff, soft = DoubleWell(a=[1e6], b=[1.0]), DoubleWell(a=[0.8], b=[1.2])
+        pair = PropagatorPair(
+            fine=stiff if kind == "stiff-fine" else soft,
+            coarse=soft if kind == "stiff-fine" else stiff,
+        )
+        initial = _state([1.0])
+    plan = NoisePlan.for_windows(master, n)
+
+    def windows(depth, gap):
+        pots = [pair.fine, pair.coarse]
+        fine, coarse = PlanWindows.for_potentials(pots, params, schedule, plan, initial)
+        assert not coarse.scalar
+        fine.depth = coarse.depth = depth
+        fine.gap = coarse.gap = gap
+        return fine, coarse
+
+    if expl is None:
+        config = PararealConfig(n_windows=n, delta_conv=conv, k_max=k_max)
+        return lambda depth, gap=1: parareal_classic_engine(
+            initial, *windows(depth, gap), config, record_iterates=True
+        )
+    config = PararealConfig(n_windows=n, delta_conv=conv, delta_expl=expl, k_max=k_max)
+    return lambda depth, gap=1: parareal_adaptive_engine(initial, *windows(depth, gap), config)
+
+
+class TestPipelineDepth:
+    """Sweeps of several iterations in flight give the depth-1 run exactly:
+    trajectory, slabs, error history, iterates, warnings and exceptions."""
+
+    def test_depth_belongs_to_the_windows(self):
+        params = LangevinParams(gamma=0.5, inv_beta=0.4, dt=0.05, substeps=2)
+        schedule = TemperatureSchedule.robust(2)
+        plan = NoisePlan.for_windows(3, 4)
+        start = _state([0.3])
+        (scalar,) = PlanWindows.for_potentials([DoubleWell()], params, schedule, plan, start)
+        (array,) = PlanWindows.for_potentials([DoubleWell(a=[1.0])], params, schedule, plan, start)
+        assert scalar.depth == 1 and Scripted(_identity_fine).depth == 1
+        assert array.depth == integrator_module._WAVE_DEPTH > 1
+        assert array.gap == integrator_module._WAVE_GAP > 1 and Scripted(_identity_fine).gap == 1
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        case=_scripted_cases,
+        depth=st.sampled_from(PIPELINE_DEPTHS),
+        gap=st.sampled_from(PIPELINE_GAPS),
+    )
+    def test_scripted_runs(self, case, depth, gap):
+        fine, coarse = _scripted_pair(
+            case["gain_f"], case["gain_c"], case["tilt"], case["limit_f"], case["limit_c"]
+        )
+        run = _scripted_run(case, fine, coarse)
+        assert _outcome(run, depth, gap) == _outcome(run, 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(POTENTIAL_KINDS),
+        n=st.integers(2, 30),
+        master=st.integers(0, 2**64 - 1),
+        conv=st.sampled_from([1e-4, 1e-10]),
+        expl=st.sampled_from([None, 0.02, 0.1, 0.35]),
+        k_max=st.sampled_from([None, 2, 5]),
+        depth=st.sampled_from(PIPELINE_DEPTHS),
+        gap=st.sampled_from(PIPELINE_GAPS),
+    )
+    def test_potential_pairs_on_the_array_path(
+        self, kind, n, master, conv, expl, k_max, depth, gap
+    ):
+        run = _potential_run(kind, n, master, conv, expl, k_max)
+        assert _outcome(run, depth, gap) == _outcome(run, 1)
+
+    @pytest.mark.parametrize("depth", PIPELINE_DEPTHS)
+    @pytest.mark.parametrize("gap", PIPELINE_GAPS)
+    def test_adaptive_with_truncations(self, depth, gap):
+        # the shipped-style double well on arrays truncates in several slabs,
+        # some while the slab's bootstrap is still in flight
+        run = _potential_run("harmonic-coarse", 40, 11, 1e-10, 0.1, None)
+        shown, _ = _outcome(run, depth, gap)
+        assert shown == _outcome(run, 1)[0]
+        result = run(depth, gap)
+        assert result.converged and any(len(slab.attempts) > 1 for slab in result.slabs)
+
+    @pytest.mark.parametrize("depth", [1] + PIPELINE_DEPTHS)
+    @pytest.mark.parametrize("gap", PIPELINE_GAPS)
+    def test_iteration_cap_keeps_stale_nodes(self, depth, gap):
+        # one truncation, then the cap: the trajectory keeps the nodes past
+        # n_final as the last sweep to reach them left them, the exploded
+        # node included, as the from-scratch transcription does
+        run = _potential_run("harmonic-coarse", 25, 11, 1e-12, 0.1, 2)
+        shown, caught = _outcome(run, depth, gap)
+        assert (shown, caught) == _outcome(run, 1)
+        result = run(depth, gap)
+        assert not result.converged and result.slabs[-1].n_final < 25
+        params = LangevinParams(gamma=0.5, inv_beta=0.4, dt=0.05, substeps=2)
+        schedule = TemperatureSchedule.robust(2)
+        pair = PropagatorPair(fine=DoubleWell(a=[1.0], b=[1.0]), coarse=Harmonic(k=[0.3]))
+        fine, coarse = _window_callables(pair, params, schedule, NoisePlan.for_windows(11, 25))
+        config = PararealConfig(n_windows=25, delta_conv=1e-12, delta_expl=0.1, k_max=2)
+        _assert_same_run(result, *_hand_adaptive(_state([-1.2]), fine, coarse, config))
+
+    @pytest.mark.parametrize("depth", PIPELINE_DEPTHS)
+    @pytest.mark.parametrize("gap", PIPELINE_GAPS)
+    def test_slab_collapse_and_degenerate_normalization(self, depth, gap):
+        fine, coarse = _scripted_pair(1.2, 0.9, 1.0, np.inf, np.inf)
+        run = _scripted_run(
+            {"n": 6, "q0": [1.0], "conv": 1e-10, "expl": 1e-3, "k_max": None}, fine, coarse
+        )
+        shown, _ = _outcome(run, depth, gap)
+        assert shown[:2] == ("raised", SlabCollapseError) and shown == _outcome(run, 1)[0]
+
+        def zero(state, m):
+            return PhaseState(q=0.0 * state.q, p=state.p + 1.0)
+
+        run = _scripted_run(
+            {"n": 5, "q0": [0.0, 0.0], "conv": 1e-6, "expl": None, "k_max": None}, zero, zero
+        )
+        shown, _ = _outcome(run, depth, gap)
+        assert shown[:2] == ("raised", DegenerateNormalizationError)
+        assert shown == _outcome(run, 1)[0]
+
+    @pytest.mark.parametrize("depth", PIPELINE_DEPTHS)
+    @pytest.mark.parametrize("gap", PIPELINE_GAPS)
+    def test_fine_blow_up_reports_the_lowest_window(self, depth, gap):
+        # the stiff fine window diverges from every node the coarse bootstrap
+        # moves off its minimum, so windows 2 onwards all blow up
+        run = _potential_run("stiff-fine", 12, 3, 1e-8, None, None)
+        shown, _ = _outcome(run, depth, gap)
+        assert shown[:2] == ("raised", BlowUpError)
+        assert shown == _outcome(run, 1)[0]
+        assert shown[3:5] == (2, 1)  # window 2, iteration 1
+
+    @pytest.mark.parametrize("depth", PIPELINE_DEPTHS)
+    @pytest.mark.parametrize("gap", PIPELINE_GAPS)
+    @pytest.mark.parametrize("case", ["cut", "sweep error"])
+    def test_a_fine_blow_up_past_the_sweep_still_comes_first(self, depth, gap, case):
+        # serially the jump stage covers the whole slab before the sweep; a
+        # pipelined sweep that cuts the slab at window 2 (the trace of
+        # TestAdaptiveEngineScripted), or fails in its own window 2, before
+        # its lazy fine stage reaches window 4 must still raise window 4.
+        # Only slab 1's bootstrap node 3 (1/8) fails, so no later slab can.
+        def fine(state, m):
+            if m == 3 and state.q[0] == 0.125:
+                raise BlowUpError("fine left the range", substep=7)
+            return _identity_fine(state, m)
+
+        def coarse(state, m):
+            if case == "sweep error" and m == 1 and state.q[0] == 1.0:
+                raise BlowUpError("coarse left the range", substep=3)
+            return _halving_coarse(state, m)
+
+        expl = 1.0 if case == "cut" else None
+        run = _scripted_run(
+            {"n": 4, "q0": [1.0], "conv": 1e-3, "expl": expl, "k_max": None}, fine, coarse
+        )
+        shown, _ = _outcome(run, depth, gap)
+        assert shown == _outcome(run, 1)[0]
+        assert shown[1:6] == (BlowUpError, "fine left the range", 4, 1, 7)
+
+    @pytest.mark.parametrize("expl", [None, 0.5])
+    @pytest.mark.parametrize("side", ["fine", "coarse"])
+    def test_speculative_blow_ups_never_raise(self, expl, side):
+        # record every input depth 1 gives each propagator, then make one
+        # blow up on any other input: only iterations that depth 1 never
+        # starts see one, and their errors must not surface.  Few iterations
+        # look needed near convergence, so only some depths and gaps start
+        # such iterations here; together they must start some.
+        unseen = 0
+        for conv, depth, gap in itertools.product(
+            (1e-3, 1e-6), PIPELINE_DEPTHS, PIPELINE_GAPS
+        ):
+            fine, coarse = _scripted_pair(1.05, 0.9, 2.0, np.inf, np.inf)
+            seen = set()
+            watched = fine if side == "fine" else coarse
+
+            def recording(state, m):
+                seen.add((m, state.q.tobytes(), state.p.tobytes()))
+                return watched(state, m)
+
+            def strict(state, m):
+                nonlocal unseen
+                if (m, state.q.tobytes(), state.p.tobytes()) not in seen:
+                    unseen += 1
+                    raise BlowUpError("input never seen at depth 1", substep=1)
+                return watched(state, m)
+
+            def pair(prop):
+                return (prop, coarse) if side == "fine" else (fine, prop)
+
+            case = {"n": 14, "q0": [0.6, -0.4], "conv": conv, "expl": expl, "k_max": None}
+            reference = _outcome(_scripted_run(case, *pair(recording)), 1)
+            assert reference[0][0] == "result"
+            assert _outcome(_scripted_run(case, *pair(strict)), depth, gap) == reference
+        assert unseen > 0
+
+    def test_depth_one_keeps_the_serial_call_sequence_on_arrays(self, monkeypatch):
+        # at depth 1 the array path makes today's calls: one fine rows call
+        # per iteration over its whole slab, and one coarse window at a time
+        rows_calls, one_calls = [], Counter()
+        real_rows, real_one = PlanWindows.rows, PlanWindows.one
+
+        def rows(self, qs, ps, ms):
+            rows_calls.append((self, list(ms)))
+            return real_rows(self, qs, ps, ms)
+
+        def one(self, q, p, m):
+            one_calls[self] += 1
+            return real_one(self, q, p, m)
+
+        monkeypatch.setattr(PlanWindows, "rows", rows)
+        monkeypatch.setattr(PlanWindows, "one", one)
+        result = _potential_run("harmonic-coarse", 30, 11, 1e-10, 0.1, None)(1)
+        assert result.converged and result.n_slab >= 2
+        assert len({w for w, _ in rows_calls}) == 1
+        assert [ms for _, ms in rows_calls] == [
+            list(range(slab.n_init, attempt.n_final))
+            for slab in result.slabs
+            for attempt in slab.attempts
+            for _ in range(attempt.iterations)
+        ]
+        bootstrap = sum(30 - slab.n_init for slab in result.slabs)
+        assert sum(one_calls.values()) == bootstrap + len(result.error_history)
