@@ -352,8 +352,13 @@ class PlanWindows:
             noise = self._noise.take(ms, axis=0)
 
         def mark(q, p, substep):
-            ok = ((np.abs(q) <= BLOWUP_LIMIT) & (np.abs(p) <= BLOWUP_LIMIT)).all(axis=1)
-            first_bad[~ok & (first_bad == 0)] = substep
+            # one test for the whole stack; max propagates NaN, and NaN <= x
+            # is False.  The rows are looked at only when one of them failed.
+            worst = np.abs(q)
+            np.maximum(worst, np.abs(p), out=worst)
+            if not worst.max(initial=0.0) <= BLOWUP_LIMIT:
+                ok = worst.max(axis=1) <= BLOWUP_LIMIT
+                first_bad[~ok & (first_bad == 0)] = substep
 
         # rows that blew up keep running to the window end; silence their overflow
         with np.errstate(all="ignore"):

@@ -156,6 +156,18 @@ class LennardJonesCluster(Potential):
     Coordinates are packed atom-major: ``q = (x_0, y_0, ..., x_1, y_1, ...)``
     with ``space_dim`` components per atom.  Pair energy
     4 eps ((sigma/r)^12 - (sigma/r)^6).
+
+    Every i < j pair is evaluated once, in a ``(component, pair, row)``
+    layout: its distance, its coefficient and its term
+    ``t = coeff (x_i - x_j)``.  Atom i's force is then the sum over j of
+    the antisymmetric matrix ``M[i, j]`` (``t``, ``-t`` for j < i, +0.0 on
+    the diagonal), in the order of the dense n x n formula this replaces,
+    so the result is bitwise that formula's.  The layout matters because
+    numpy sums an axis that is contiguous in memory pairwise once it has 8
+    or more elements, and any other axis in sequence: the dense formula
+    sums the ``space_dim`` components of r^2 over a contiguous axis and the
+    j terms over a strided one, except for ``space_dim == 1``, where its j
+    axis is contiguous too.
     """
 
     epsilon: float = 1.0
@@ -172,24 +184,39 @@ class LennardJonesCluster(Potential):
             raise ValueError("need at least 2 atoms")
         if self.space_dim < 1:
             raise ValueError("space_dim must be >= 1")
-        object.__setattr__(self, "dimension", self.n_atoms * self.space_dim)
-        object.__setattr__(self, "_off", ~np.eye(self.n_atoms, dtype=bool))
-        object.__setattr__(self, "_diag", np.arange(self.n_atoms))
+        n, dim = self.n_atoms, self.space_dim
+        object.__setattr__(self, "dimension", n * dim)
+        i, j = np.triu_indices(n, k=1)
+        pairs = np.arange(i.size)
+        component = np.arange(dim)[:, None]
+        # coordinate columns of both ends of every pair: (2, dim, pairs)
+        object.__setattr__(self, "_ends", np.stack([i * dim + component, j * dim + component]))
+        # slot[j, i]: where M[i, j] sits in the table [t, -t, 0]
+        slot = np.full((n, n), 2 * i.size)
+        slot[j, i] = pairs
+        slot[i, j] = i.size + pairs
+        object.__setattr__(self, "_slot", slot)
 
     def _pair_r2(self, q: np.ndarray):
-        """Pair differences and squared distances of one row or a stack of rows."""
-        x = q.reshape(q.shape[:-1] + (self.n_atoms, self.space_dim))
-        diff = x[..., :, None, :] - x[..., None, :, :]
-        r2 = (diff * diff).sum(axis=-1)
-        if (r2[..., self._off] == 0.0).any():
+        """Differences x_i - x_j, ``(dim, pairs, *rows)``, and squared distances
+        of the i < j pairs, ``(pairs, *rows)``, of one row or a stack of rows."""
+        ends = q.T[self._ends]
+        diff = ends[0] - ends[1]
+        sq = diff * diff
+        if self.space_dim < 8:
+            r2 = sq[0]
+            for component in sq[1:]:
+                r2 = r2 + component
+        else:  # the dense formula's contiguous, pairwise component sum
+            r2 = np.moveaxis(sq, 0, -1).copy().sum(axis=-1)
+        if not r2.all():  # r2 >= 0 or NaN: finds exact zeros only
             raise PotentialError("coincident atoms: pair distance is zero")
         return diff, r2
 
     def energy(self, q) -> float:
         q = self._check_q(q)
         _, r2 = self._pair_r2(q)
-        iu = np.triu_indices(self.n_atoms, k=1)
-        u3 = (self.sigma * self.sigma / r2[iu]) ** 3
+        u3 = (self.sigma * self.sigma / r2) ** 3
         return float(np.sum(4.0 * self.epsilon * (u3 * u3 - u3)))
 
     def gradient(self, q) -> np.ndarray:
@@ -197,12 +224,19 @@ class LennardJonesCluster(Potential):
 
     def _grad(self, q):
         diff, r2 = self._pair_r2(q)
-        diag = self._diag
-        r2[..., diag, diag] = 1.0  # diagonal never contributes
         u3 = (self.sigma * self.sigma / r2) ** 3
         coeff = (24.0 * self.epsilon * u3 - 48.0 * self.epsilon * u3 * u3) / r2
-        coeff[..., diag, diag] = 0.0
-        return (coeff[..., :, :, None] * diff).sum(axis=-2).reshape(q.shape)
+        pairs = r2.shape[0]
+        table = np.empty((self.space_dim, 2 * pairs + 1) + r2.shape[1:])
+        t = np.multiply(coeff, diff, out=table[:, :pairs])
+        np.negative(t, out=table[:, pairs:-1])
+        table[:, -1] = 0.0
+        if self.space_dim > 1:  # M laid out (dim, j, i, *rows): a strided j sum
+            force = np.take(table, self._slot, axis=1).sum(axis=1)
+            return np.ascontiguousarray(force.T).reshape(q.shape)
+        # (*rows, i, j): a contiguous j sum, as the dense formula's
+        rows = np.ascontiguousarray(np.moveaxis(table[0], 0, -1))
+        return np.take(rows, self._slot.T, axis=-1).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -237,6 +271,11 @@ class Perturbed(Potential):
         if self.lam == 0.0:
             return self.base.gradient(q)
         return self.base.gradient(q) + self.lam * self.delta.gradient(q)
+
+    def _grad(self, q):
+        if self.lam == 0.0:
+            return self.base._grad(q)
+        return self.base._grad(q) + self.lam * self.delta._grad(q)
 
 
 def gradient_check(pot: Potential, q, h: float = 1e-6) -> float:

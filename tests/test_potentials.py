@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from paralangevin.potentials import (
     DoubleWell,
@@ -109,6 +111,114 @@ class TestLennardJones:
         assert np.abs(grad.sum(axis=0)).max() <= 1e-12 * max(scale, 1.0)
 
 
+def _dense_r2(pot: LennardJonesCluster, q: np.ndarray):
+    """Reference: the full n x n pair matrix, every pair computed twice."""
+    x = q.reshape(q.shape[:-1] + (pot.n_atoms, pot.space_dim))
+    diff = x[..., :, None, :] - x[..., None, :, :]
+    r2 = (diff * diff).sum(axis=-1)
+    if (r2[..., ~np.eye(pot.n_atoms, dtype=bool)] == 0.0).any():
+        raise PotentialError("coincident atoms: pair distance is zero")
+    return diff, r2
+
+
+def _dense_grad(pot: LennardJonesCluster, q: np.ndarray) -> np.ndarray:
+    """Reference gradient: the dense formula the pair-table kernel must equal bitwise."""
+    diff, r2 = _dense_r2(pot, q)
+    diag = np.arange(pot.n_atoms)
+    r2[..., diag, diag] = 1.0
+    u3 = (pot.sigma * pot.sigma / r2) ** 3
+    coeff = (24.0 * pot.epsilon * u3 - 48.0 * pot.epsilon * u3 * u3) / r2
+    coeff[..., diag, diag] = 0.0
+    return (coeff[..., :, :, None] * diff).sum(axis=-2).reshape(q.shape)
+
+
+def _dense_energy(pot: LennardJonesCluster, q: np.ndarray) -> float:
+    _, r2 = _dense_r2(pot, q)
+    u3 = (pot.sigma * pot.sigma / r2[np.triu_indices(pot.n_atoms, k=1)]) ** 3
+    return float(np.sum(4.0 * pot.epsilon * (u3 * u3 - u3)))
+
+
+def _same_array(got, want) -> bool:
+    return (
+        got.shape == want.shape
+        and got.dtype == want.dtype
+        and got.flags.c_contiguous
+        and got.tobytes() == want.tobytes()
+    )
+
+
+class TestLennardJonesPinnedToDenseFormula:
+    """The pair-table kernel is bitwise the dense n x n formula.
+
+    Only the summation order can differ, and numpy's order depends on the
+    memory layout: an axis contiguous in memory is summed pairwise from 8
+    elements on, any other in sequence.  Hence space dimensions 1 (the
+    dense j sum is contiguous), 2-4 and 8-9 (the dense component sum turns
+    pairwise), atom counts on both sides of 8, single rows and stacks.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_atoms=st.integers(2, 11),
+        space_dim=st.sampled_from([1, 2, 3, 4, 8, 9]),
+        rows=st.one_of(st.none(), st.integers(0, 40)),
+        sigma=st.floats(0.3, 3.0),
+        epsilon=st.floats(0.1, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+        grid=st.sampled_from([0.0, 0.25, 0.5]),
+        aligned=st.booleans(),
+    )
+    # always run: a stack whose j sum is pairwise, a row whose component
+    # sum is pairwise, and LJ-7 on the hexagon's grid with aligned atoms
+    @example(n_atoms=9, space_dim=1, rows=24, sigma=1.0, epsilon=1.0, seed=1, grid=0.0, aligned=False)
+    @example(n_atoms=3, space_dim=9, rows=None, sigma=1.0, epsilon=1.0, seed=2, grid=0.0, aligned=False)
+    @example(n_atoms=7, space_dim=2, rows=24, sigma=0.98, epsilon=1.0, seed=3, grid=0.25, aligned=True)
+    def test_bitwise_equal(
+        self, n_atoms, space_dim, rows, sigma, epsilon, seed, grid, aligned
+    ):
+        pot = LennardJonesCluster(
+            epsilon=epsilon, sigma=sigma, n_atoms=n_atoms, space_dim=space_dim
+        )
+        rng = np.random.default_rng(seed)
+        shape = (pot.dimension,) if rows is None else (rows, pot.dimension)
+        q = rng.normal(0.0, 0.6 * n_atoms ** (1.0 / space_dim), size=shape)
+        if grid:
+            # some components on a grid: aligned atoms give exact-zero
+            # differences, as the hexagon's do
+            on_grid = rng.random(shape) < 0.7
+            q[on_grid] = np.round(q[on_grid] / grid) * grid
+        if aligned and space_dim > 1:
+            q[..., ::space_dim] = grid  # every atom on one line: all-zero j sums
+        try:
+            want = _dense_grad(pot, q)
+        except PotentialError:
+            with pytest.raises(PotentialError):
+                pot._grad(q)
+            return
+        assert _same_array(pot._grad(q), want)
+        if rows is None:
+            assert _same_array(pot.gradient(q), want)
+            assert np.float64(pot.energy(q)).tobytes() == np.float64(_dense_energy(pot, q)).tobytes()
+
+    @pytest.mark.parametrize("space_dim", [1, 2, 3, 9])
+    def test_coincident_atoms_raise_on_rows_and_stacks(self, space_dim):
+        pot = LennardJonesCluster(n_atoms=5, space_dim=space_dim)
+        rng = np.random.default_rng(space_dim)
+        stack = rng.normal(0.0, 2.0, size=(6, pot.dimension))
+        stack[4, 3 * space_dim : 4 * space_dim] = stack[4, :space_dim]  # atoms 0 and 3
+        single = stack[4]
+        for q in (single, stack):
+            with pytest.raises(PotentialError):
+                _dense_grad(pot, q)
+            with pytest.raises(PotentialError):
+                pot._grad(q)
+        with pytest.raises(PotentialError):
+            pot.gradient(single)
+        with pytest.raises(PotentialError):
+            pot.energy(single)
+        assert _same_array(pot._grad(stack[:4]), _dense_grad(pot, stack[:4]))
+
+
 class TestPerturbed:
     def test_lambda_zero_bitwise(self):
         base = DoubleWell(a=1.0, b=1.0)
@@ -128,6 +238,22 @@ class TestPerturbed:
             assert np.array_equal(
                 pot.gradient(q), base.gradient(q) + lam * delta.gradient(q)
             )
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_raw_gradient_on_stacks_and_floats(self, lam):
+        lj = Perturbed(
+            base=LennardJonesCluster(n_atoms=4, space_dim=2),
+            delta=Harmonic(k=[0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]),
+            lam=lam,
+        )
+        rows = np.random.default_rng(5).normal(0.0, 1.5, size=(7, 8))
+        want = np.array([lj.gradient(row) for row in rows])
+        assert _same_array(lj._grad(rows), want)
+        dw = Perturbed(base=DoubleWell(a=1.0, b=1.0), delta=Harmonic(k=0.7), lam=lam)
+        for x in (0.6, -1.3):
+            got = dw._grad(x)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == dw.gradient(np.array([x])).tobytes()
 
     def test_incompatible_dimensions_rejected(self):
         with pytest.raises(ValueError):
