@@ -34,6 +34,7 @@ from .integrator import (
     measure_kinetic_temperature,
     predicted_intermediate_variance,
     predicted_kinetic_temperature,
+    predicted_schedule_temperature,
     propagate_window,
     solve_schedule,
 )

@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .model import atomic_open
 from .parareal import SlabRecord
 
 GAIN_CSV_HEADER = ("dt", "delta_expl", "delta_conv", "gain_ideal", "gain", "n_slab")
@@ -175,7 +176,7 @@ def gain_csv_row(
 
 def write_gain_csv(path: str | Path, rows: Iterable[tuple[str, ...]]) -> None:
     """Write a gain table with the standard header."""
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(GAIN_CSV_HEADER)
         for row in rows:

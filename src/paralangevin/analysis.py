@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import NodeTrajectory
+from .model import NodeTrajectory, atomic_open
 from .potentials import Potential, local_minima
 
 RESIDENCE_HISTOGRAM_HEADER = ("bin_start", "bin_end", "count")
@@ -261,7 +261,7 @@ def residence_histogram(
 def write_residence_histogram_csv(
     path: str | Path, durations: Sequence[int], bin_width: int
 ) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(RESIDENCE_HISTOGRAM_HEADER)
         for lo, hi, count in residence_histogram(durations, bin_width):

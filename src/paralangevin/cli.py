@@ -16,7 +16,6 @@ iteration cap.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -47,7 +46,7 @@ from .integrator import (
     TemperatureSchedule,
     measure_kinetic_temperature,
 )
-from .model import LangevinParams, PhaseState, write_trajectory_csv
+from .model import LangevinParams, PhaseState, atomic_open, write_trajectory_csv
 from .parareal import (
     DegenerateNormalizationError,
     PararealConfig,
@@ -777,16 +776,20 @@ def _jsonable(obj: Any) -> Any:
 
 
 def _write_json(path: Path, payload: dict[str, Any]) -> Path:
-    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+    with atomic_open(path) as fh:
+        fh.write(text)
     return path
 
 
 def _write_history_csv(path: Path, history) -> Path:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("slab", "iteration", "delta"))
-        for slab, iteration, delta in history:
-            writer.writerow((str(slab), str(iteration), format(delta, ".17g")))
+    """``slab,iteration,delta`` rows with :func:`csv.writer`'s bytes
+    (``\\r\\n`` line ends, no field needs quoting), joined once."""
+    lines = ["slab,iteration,delta"]
+    lines += [f"{slab},{iteration},{delta:.17g}" for slab, iteration, delta in history]
+    lines.append("")
+    with atomic_open(path) as fh:
+        fh.write("\r\n".join(lines))
     return path
 
 
@@ -1121,7 +1124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_payload(exc: Exception) -> dict[str, Any]:
+def _error_payload(exc: BaseException) -> dict[str, Any]:
     payload: dict[str, Any] = {"type": type(exc).__name__, "message": str(exc)}
     if isinstance(exc, BlowUpError):
         payload["window"] = exc.window
@@ -1165,6 +1168,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     outputs: list[Path] = []
+    _write_manifest(out_dir, cfg, args.workers, outputs, "running")
     try:
         status = _RUNNERS[cfg.experiment](cfg, out_dir, args.workers, outputs)
     except BlowUpError as exc:
@@ -1191,6 +1195,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
         return EXIT_CONFIG
+    except BaseException as exc:  # interrupts included: the manifest says so, then re-raise
+        _write_manifest(out_dir, cfg, args.workers, outputs, "failed", _error_payload(exc))
+        raise
 
     _write_manifest(out_dir, cfg, args.workers, outputs, "complete")
     for path in outputs:

@@ -322,9 +322,6 @@ class PlanWindows:
     def raw(self, state: PhaseState):
         return (float(state.q[0]), float(state.p[0])) if self.scalar else (state.q, state.p)
 
-    def state(self, q, p) -> PhaseState:
-        return PhaseState(q=(q,), p=(p,)) if self.scalar else PhaseState(q=q, p=p)
-
     def one(self, q, p, m: int):
         """Window ``m`` (0-based) from raw ``(q, p)``; raises at the first bad substep."""
         return _window_kernel(
@@ -341,8 +338,9 @@ class PlanWindows:
         such rows carry no usable state.  Nothing is raised.
         """
         b = len(ms)
-        q = np.array(qs, dtype=float).reshape(b, self._d)
-        p = np.array(ps, dtype=float).reshape(b, self._d)
+        # the kernel never writes its inputs, so a fresh gather needs no copy
+        q = np.asarray(qs, dtype=float).reshape(b, self._d)
+        p = np.asarray(ps, dtype=float).reshape(b, self._d)
         first_bad = np.zeros(b, dtype=np.int64)
         # consecutive windows are a view: no copy, and no release of the GIL,
         # which would stall threads that run other runs meanwhile
@@ -382,6 +380,25 @@ def predicted_kinetic_temperature(substeps: int, inv_beta: float) -> float:
     return inv_beta * (1.0 - 1.0 / (2.0 * substeps))
 
 
+def predicted_schedule_temperature(
+    schedule: TemperatureSchedule, inv_beta: float
+) -> float | None:
+    """Leading-order stationary kinetic temperature under ``schedule``.
+
+    ``inv_beta`` when the weights meet the flat-variance recursion of
+    :func:`solve_schedule` (up to roundoff), as ``robust`` and ``flat_pair``
+    do; the uncorrected :func:`predicted_kinetic_temperature` when every
+    weight is 1; ``None`` for any other weights, which no formula here covers.
+    """
+    c = schedule.coefficients
+    if all(w == 1.0 for w in c):
+        return predicted_kinetic_temperature(schedule.substeps, inv_beta)
+    recursion = [4.0 - c[0]] + [4.0 - 3.0 * w for w in c[1:-1]]
+    if all(math.isclose(w, r, rel_tol=1e-12) for w, r in zip(c[1:], recursion)):
+        return inv_beta
+    return None
+
+
 def predicted_intermediate_variance(l: int, params: LangevinParams) -> float:
     """Leading-order stationary momentum variance after substep ``l``.
 
@@ -401,7 +418,7 @@ class TemperatureReport:
     """Outcome of a kinetic-temperature measurement."""
 
     k_eq_empirical: float
-    k_eq_predicted: float
+    k_eq_predicted: float | None
     per_substep_variance: tuple[float, ...]
     n_windows: int
     n_burn_in: int
@@ -553,7 +570,7 @@ def measure_kinetic_temperature(
         k_emp = per_substep[-1]
     return TemperatureReport(
         k_eq_empirical=k_emp,
-        k_eq_predicted=predicted_kinetic_temperature(params.substeps, params.inv_beta),
+        k_eq_predicted=predicted_schedule_temperature(schedule, params.inv_beta),
         per_substep_variance=per_substep,
         n_windows=n_windows,
         n_burn_in=n_burn,

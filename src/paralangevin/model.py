@@ -8,6 +8,8 @@ without defensive copying.
 from __future__ import annotations
 
 import csv
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,40 +106,88 @@ class LangevinParams:
         return self.mass
 
 
-@dataclass(frozen=True)
+def _row_state(q: np.ndarray, p: np.ndarray) -> PhaseState:
+    """A :class:`PhaseState` on rows already checked and read-only, without a copy."""
+    state = object.__new__(PhaseState)
+    object.__setattr__(state, "q", q)
+    object.__setattr__(state, "p", p)
+    return state
+
+
 class NodeTrajectory:
-    """States at the window endpoints n = 0..N of one run."""
+    """States at the window endpoints n = 0..N of one run.
 
-    states: tuple[PhaseState, ...]
+    Held as two read-only ``(N+1, d)`` arrays, positions and momenta, checked
+    once for shape and finiteness.  Build it from a sequence of
+    :class:`PhaseState` s, or from the arrays themselves (copied):
+    ``NodeTrajectory(q=positions, p=momenta)``.  Indexing and iteration give
+    ``PhaseState`` s whose ``q`` and ``p`` are read-only row views.
+    """
 
-    def __post_init__(self) -> None:
-        states = tuple(self.states)
-        if not states:
+    __slots__ = ("_q", "_p")
+    __hash__ = None
+
+    def __init__(self, states=None, *, q=None, p=None) -> None:
+        if (states is None) == (q is None) or (q is None) != (p is None):
+            raise TypeError("give either the states or both the q and p arrays")
+        if states is not None:
+            states = tuple(states)
+            if not states:
+                raise ValueError("a trajectory needs at least the initial node")
+            for k, s in enumerate(states):
+                if not isinstance(s, PhaseState):
+                    raise TypeError(f"node {k} is not a PhaseState")
+                if s.dim != states[0].dim:
+                    raise ValueError(f"node {k} has dimension {s.dim}, expected {states[0].dim}")
+            q = np.stack([s.q for s in states])
+            p = np.stack([s.p for s in states])
+        else:
+            q = np.array(q, dtype=float)
+            p = np.array(p, dtype=float)
+        if q.ndim != 2 or q.shape[1] == 0 or q.shape != p.shape:
+            raise ValueError(
+                f"q and p must be (N+1, d) arrays of one shape, got {q.shape} and {p.shape}"
+            )
+        if q.shape[0] == 0:
             raise ValueError("a trajectory needs at least the initial node")
-        dim = states[0].dim
-        for k, s in enumerate(states):
-            if not isinstance(s, PhaseState):
-                raise TypeError(f"node {k} is not a PhaseState")
-            if s.dim != dim:
-                raise ValueError(f"node {k} has dimension {s.dim}, expected {dim}")
-        object.__setattr__(self, "states", states)
+        if not (np.isfinite(q).all() and np.isfinite(p).all()):
+            raise ValueError("trajectory nodes must be finite")
+        q.setflags(write=False)
+        p.setflags(write=False)
+        object.__setattr__(self, "_q", q)
+        object.__setattr__(self, "_p", p)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("NodeTrajectory is immutable")
 
     @property
     def n_windows(self) -> int:
-        return len(self.states) - 1
+        return self._q.shape[0] - 1
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self._q.shape[1]
+
+    @property
+    def states(self) -> tuple[PhaseState, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return self._q.shape[0]
 
     def __getitem__(self, n: int) -> PhaseState:
-        return self.states[n]
+        return _row_state(self._q[n], self._p[n])
 
     def __iter__(self):
-        return iter(self.states)
+        return map(_row_state, self._q, self._p)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, NodeTrajectory):
+            return NotImplemented
+        return np.array_equal(self._q, other._q) and np.array_equal(self._p, other._p)
+
+    def __repr__(self) -> str:
+        return f"NodeTrajectory(n_windows={self.n_windows}, dim={self.dim})"
 
     def slice(self, n_init: int, n_final: int) -> "NodeTrajectory":
         """Nodes ``n_init..n_final`` inclusive, re-indexed from zero."""
@@ -145,14 +195,36 @@ class NodeTrajectory:
             raise IndexError(
                 f"slice [{n_init}, {n_final}] outside trajectory range [0, {self.n_windows}]"
             )
-        return NodeTrajectory(self.states[n_init : n_final + 1])
+        return NodeTrajectory(q=self._q[n_init : n_final + 1], p=self._p[n_init : n_final + 1])
 
     def positions(self) -> np.ndarray:
         """(N+1, d) array of node positions (a copy)."""
-        return np.array([s.q for s in self.states])
+        return self._q.copy()
 
     def momenta(self) -> np.ndarray:
-        return np.array([s.p for s in self.states])
+        """(N+1, d) array of node momenta (a copy)."""
+        return self._p.copy()
+
+
+@contextmanager
+def atomic_open(path: str | Path):
+    """Open a text file in ``path``'s directory that replaces ``path`` on success.
+
+    The file is written under a temporary name and moved over ``path`` with
+    :func:`os.replace` once the block completes, so a reader never sees a
+    partly written file.  If the block raises, the temporary file is removed
+    and ``path`` keeps its old content.  Newlines are written untranslated,
+    as :mod:`csv` expects.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "x", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_trajectory_csv(
@@ -161,19 +233,18 @@ def write_trajectory_csv(
     """Write nodes as CSV rows ``n, t, q_0..q_{d-1}, p_0..p_{d-1}``.
 
     Floats carry 17 significant digits, enough to round-trip doubles exactly.
+    The bytes are those of :func:`csv.writer` (``\\r\\n`` line ends, no
+    field needs quoting).
     """
     d = trajectory.dim
-    header = (
-        ["n", "t"] + [f"q_{i}" for i in range(d)] + [f"p_{i}" for i in range(d)]
-    )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for n, state in enumerate(trajectory):
-            row = [str(n), format(n * window_dt, ".17g")]
-            row += [format(x, ".17g") for x in state.q]
-            row += [format(x, ".17g") for x in state.p]
-            writer.writerow(row)
+    header = ["n", "t"] + [f"q_{i}" for i in range(d)] + [f"p_{i}" for i in range(d)]
+    lines = [",".join(header)]
+    rows = np.hstack([trajectory._q, trajectory._p]).tolist()
+    for n, row in enumerate(rows):
+        lines.append(f"{n},{n * window_dt:.17g}," + ",".join([format(x, ".17g") for x in row]))
+    lines.append("")
+    with atomic_open(path) as fh:
+        fh.write("\r\n".join(lines))
 
 
 def read_trajectory_csv(path: str | Path) -> NodeTrajectory:
@@ -184,8 +255,6 @@ def read_trajectory_csv(path: str | Path) -> NodeTrajectory:
         if len(header) < 4 or header[0] != "n" or header[1] != "t":
             raise ValueError(f"unrecognized trajectory header: {header}")
         d = (len(header) - 2) // 2
-        states = []
-        for row in reader:
-            values = [float(x) for x in row[2:]]
-            states.append(PhaseState(q=values[:d], p=values[d:]))
-    return NodeTrajectory(tuple(states))
+        values = np.array([[float(x) for x in row[2:]] for row in reader], dtype=float)
+    values = values.reshape(-1, 2 * d)
+    return NodeTrajectory(q=values[:, :d], p=values[:, d:])

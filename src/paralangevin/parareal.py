@@ -70,15 +70,15 @@ row by row), or as :class:`~paralangevin.integrator.PlanWindows`.  The
 ``parareal_*`` wrappers build the latter: potential-driven windows on a
 shared noise plan (fine and coarse consume the same seed for the same
 window, at every iteration), on Python floats (d = 1) or raw arrays.  No
-``PhaseState`` is built inside the loop; the trajectory's states are built
-once at the end.
+``PhaseState`` is built inside the loop; the trajectory is built once at the
+end, from the node storage in one call.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, NamedTuple
 
@@ -214,6 +214,22 @@ class PararealResult:
         )
         if self.iterates is not None:
             object.__setattr__(self, "iterates", tuple(self.iterates))
+        self._check()
+
+    @classmethod
+    def _from_loop(cls, trajectory, slabs, error_history, converged, iterates=None):
+        """A result from the loop's own values: ``slabs`` and ``iterates`` are
+        tuples and ``error_history`` a tuple of plain ``(int, int, float)``
+        triples, so only the checks run, not the conversion entry by entry."""
+        result = cls.__new__(cls)
+        result.__dict__.update(
+            trajectory=trajectory, slabs=slabs, error_history=error_history,
+            converged=converged, iterates=iterates,
+        )
+        result._check()
+        return result
+
+    def _check(self) -> None:
         if not self.slabs:
             raise ValueError("a result needs at least one slab record")
         if self.slabs[0].n_init != 0:
@@ -314,9 +330,6 @@ class _Scripted:
     def raw(self, state: PhaseState):
         return state.q, state.p
 
-    def state(self, q, p) -> PhaseState:
-        return PhaseState(q=q, p=p)
-
     def one(self, q, p, m: int):
         out = self._prop(PhaseState(q=q, p=p), m)
         return out.q, out.p
@@ -365,11 +378,17 @@ def sequential_propagate(
         return NodeTrajectory((initial,))
     (windows,) = PlanWindows.for_potentials([pot], params, schedule, plan, initial)
     q, p = windows.raw(initial)
-    nodes = []
+    qs, ps = [q], [p]
     for m in range(n_windows):
         q, p = _one(windows, q, p, m, 0)
-        nodes.append((q, p))
-    return NodeTrajectory((initial,) + tuple(windows.state(q, p) for q, p in nodes))
+        qs.append(q)
+        ps.append(p)
+    return _trajectory(qs, ps, initial.dim)
+
+
+def _trajectory(qs, ps, d: int) -> NodeTrajectory:
+    """The trajectory of raw nodes ``qs, ps``: floats, ``(d,)`` rows or an array."""
+    return NodeTrajectory(q=np.reshape(qs, (-1, d)), p=np.reshape(ps, (-1, d)))
 
 
 def _close_attempt(attempts, n_init, n_final, iterations):
@@ -697,9 +716,7 @@ def _parareal_loop(initial, fine, coarse, config, delta_expl, record_iterates=Fa
     storage = _storage(coarse.scalar, depth + 1, n, initial.dim)
 
     def trajectory():
-        return NodeTrajectory(
-            (initial,) + tuple(coarse.state(q, p) for q, p in zip(cur_q[1:], cur_p[1:]))
-        )
+        return _trajectory(cur_q, cur_p, initial.dim)
 
     if coarse.scalar:
         cur_q, cur_p = [None] * (n + 1), [None] * (n + 1)
@@ -765,12 +782,12 @@ def _parareal_loop(initial, fine, coarse, config, delta_expl, record_iterates=Fa
         if aborted:
             converged = False
             break
-    return PararealResult(
-        trajectory=trajectory(),
-        slabs=tuple(slabs),
-        error_history=tuple(history),
-        converged=converged,
-        iterates=tuple(iterates) if record_iterates else None,
+    return PararealResult._from_loop(
+        trajectory(),
+        tuple(slabs),
+        tuple(history),
+        converged,
+        tuple(iterates) if record_iterates else None,
     )
 
 
@@ -792,7 +809,10 @@ def parareal_classic_engine(
         initial, _windows(fine), _windows(coarse), config, math.inf, record_iterates
     )
     n = config.n_windows
-    return replace(result, error_history=result.error_history[n - 1 :: n])
+    return PararealResult._from_loop(
+        result.trajectory, result.slabs, result.error_history[n - 1 :: n],
+        result.converged, result.iterates,
+    )
 
 
 def parareal_adaptive_engine(

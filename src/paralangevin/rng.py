@@ -22,9 +22,10 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # odd, so n -> n * _GOLDEN is a bijection mod 2^64
 _U53 = 2.0 ** -53
 
-# Below this many variates a plain Python loop beats vectorized numpy.  The
-# cutoff is shared by the scalar and batch entry points so that a given
-# (seed, count) pair always takes the same code path.
+# Below this many variates a stream's log is ``math.log``, from this many on
+# ``np.log``; the two can differ in the last bit.  ``_polar_scalar`` (one
+# short stream) and ``_polar_batch`` (any stack) both follow the cutoff, so a
+# given (seed, count) pair gives the same variates through either entry point.
 _SCALAR_CUTOFF = 16
 
 
@@ -110,7 +111,9 @@ def _polar_batch(seeds: np.ndarray, count: int) -> np.ndarray:
 
     Row b reproduces ``_polar_scalar(seeds[b], count)`` exactly: uniforms are
     consumed in pairs in counter order and accepted pairs land in draw order,
-    so the vectorization cannot change any stream.
+    so the vectorization cannot change any stream.  The uniforms, the divide
+    and the correctly rounded square root are the same IEEE operations on
+    both paths; only the log can differ, so it follows ``_SCALAR_CUTOFF``.
     """
     n_rows = seeds.shape[0]
     out = np.empty((n_rows, count))
@@ -132,7 +135,13 @@ def _polar_batch(seeds: np.ndarray, count: int) -> np.ndarray:
         s = x * x + y * y
         accept = (s > 0.0) & (s < 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            f = np.sqrt(-2.0 * np.log(s) / s)
+            if count < _SCALAR_CUTOFF:
+                # the short streams' log is _polar_scalar's, taken where it is used
+                log_s = np.zeros_like(s)
+                log_s[accept] = [math.log(v) for v in s[accept].tolist()]
+            else:
+                log_s = np.log(s)
+            f = np.sqrt(-2.0 * log_s / s)
         rows, cols = np.nonzero(accept)
         rank = np.cumsum(accept, axis=1)
         pair_pos = pairs_done[active][rows] + rank[rows, cols] - 1
@@ -180,8 +189,6 @@ def gaussian_streams(seeds: np.ndarray, count: int) -> np.ndarray:
         raise ValueError(f"count must be >= 0, got {count}")
     if count == 0:
         return np.empty((seeds.shape[0], 0))
-    if count < _SCALAR_CUTOFF:
-        return np.stack([_polar_scalar(int(s), count) for s in seeds])
     return _polar_batch(seeds, count)
 
 

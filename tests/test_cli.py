@@ -7,6 +7,7 @@ contents, so they cover float formatting and key ordering as well.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import shutil
@@ -18,6 +19,7 @@ import pytest
 
 import paralangevin
 from paralangevin import ConfigError, GAIN_CSV_HEADER, read_trajectory_csv, validate_config
+from paralangevin import cli
 from paralangevin.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -250,6 +252,31 @@ class TestExitCodes:
         assert code == 2
         assert "--workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("exc_type", [RuntimeError, KeyboardInterrupt])
+    def test_unexpected_exception_marks_manifest_failed_and_propagates(
+        self, tmp_path, monkeypatch, exc_type
+    ):
+        seen = []
+
+        def runner(cfg, out_dir, workers, outputs):
+            seen.append(json.loads((out_dir / "manifest.json").read_text())["status"])
+            raise exc_type("stopped in the runner")
+
+        monkeypatch.setitem(cli._RUNNERS, "sequential", runner)
+        out = tmp_path / "out"
+        path = _write(tmp_path, json.loads((CONFIG_DIR / "sequential.json").read_text()))
+        with pytest.raises(exc_type, match="stopped in the runner"):
+            main(["sequential", "--config", str(path), "--out", str(out)])
+        assert seen == ["running"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == {
+            "type": exc_type.__name__,
+            "message": "stopped in the runner",
+        }
+        assert manifest["outputs"] == []
+        assert sorted(f.name for f in out.iterdir()) == ["manifest.json"]
+
     def test_console_script_is_installed(self):
         """Run the script on PATH if any, else the `[project.scripts]` entry point in a child as its wrapper would."""
         command, env = _console_command()
@@ -333,6 +360,32 @@ class TestRunners:
         result = json.loads((out / "result.json").read_text())
         assert result["k_eq_predicted"] == pytest.approx(0.5)
         assert result["k_eq_empirical"] == pytest.approx(0.5, rel=0.1)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "schedule, substeps, expected",
+        [
+            ("robust", 4, 2.0),
+            ("flat2", 1, 2.0),
+            ([2.9, 1.1, 0.7], 2, 2.0),  # meets the flat-variance recursion up to roundoff
+            ("identity", 4, 2.0 * (1.0 - 1.0 / 8.0)),
+            ([2.0, 1.0, 1.0], 2, None),
+        ],
+    )
+    def test_temperature_predicts_only_what_the_schedule_supports(
+        self, tmp_path, capsys, schedule, substeps, expected
+    ):
+        config = {
+            "experiment": "temperature",
+            "master_seed": 5,
+            "params": {"gamma": 0.05, "inv_beta": 2.0, "dt": 0.1, "substeps": substeps},
+            "schedule": schedule,
+            "temperature": {"n_windows": 200, "dimension": 2},
+        }
+        code, out = _run(tmp_path, config, "temperature", "out")
+        assert code == 0
+        result = json.loads((out / "result.json").read_text())
+        assert result["k_eq_predicted"] == expected
         capsys.readouterr()
 
     def test_classic_run_reports_single_slab_gain(self, tmp_path, capsys):
@@ -441,3 +494,25 @@ class TestReplayDeterminism:
         manifest = json.loads((alt1 / "manifest.json").read_text())
         assert manifest["config"]["master_seed"] == 99
         capsys.readouterr()
+
+
+def _csv_writer_history(path, history):
+    """The history writer as it was written with csv.writer (frozen reference)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("slab", "iteration", "delta"))
+        for slab, iteration, delta in history:
+            writer.writerow((str(slab), str(iteration), format(delta, ".17g")))
+
+
+def test_history_csv_bytes_equal_the_csv_writer_reference(tmp_path):
+    history = [
+        (1, 1, 0.0), (1, 2, -0.0), (1, 3, 5e-324), (2, 1, 1e308), (2, 2, float("inf")),
+        (12, 345, 0.1), (3, 7, 1.2345678901234567e-17), (3, 8, 2.0 / 3.0),
+    ]
+    cli._write_history_csv(tmp_path / "new.csv", history)
+    _csv_writer_history(tmp_path / "ref.csv", history)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    cli._write_history_csv(tmp_path / "empty.csv", [])
+    _csv_writer_history(tmp_path / "ref_empty.csv", [])
+    assert (tmp_path / "empty.csv").read_bytes() == (tmp_path / "ref_empty.csv").read_bytes()

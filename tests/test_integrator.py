@@ -740,7 +740,7 @@ class TestPlanWindows:
             assert _window_bytes(qs[i], ps[i]) == _window_bytes(ref.q, ref.p)
             q1, p1 = windows.one(*raw[i], ms[i])
             assert _window_bytes(q1, p1) == _window_bytes(ref.q, ref.p)
-            assert windows.state(q1, p1) == ref
+            assert PhaseState(q=np.atleast_1d(q1), p=np.atleast_1d(p1)) == ref
 
     def test_float_path_only_where_every_gradient_keeps_floats(self):
         params = LangevinParams(gamma=0.5, inv_beta=0.4, dt=0.05, substeps=2)

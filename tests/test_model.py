@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paralangevin.accounting import write_gain_csv
 from paralangevin.model import (
     LangevinParams,
     NodeTrajectory,
     PhaseState,
+    atomic_open,
     read_trajectory_csv,
     write_trajectory_csv,
 )
@@ -143,7 +147,93 @@ class TestNodeTrajectory:
         assert rebuilt == t
 
 
+class TestArrayBackedTrajectory:
+    @given(
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_arrays_equal_states_node_for_node(self, n_windows, d, seed):
+        rng = np.random.default_rng(seed)
+        q = rng.normal(size=(n_windows + 1, d))
+        p = rng.normal(size=(n_windows + 1, d))
+        from_arrays = NodeTrajectory(q=q, p=p)
+        from_states = NodeTrajectory(tuple(PhaseState(q=a, p=b) for a, b in zip(q, p)))
+        assert from_arrays == from_states
+        assert len(from_arrays) == len(from_states) == n_windows + 1
+        assert from_arrays.dim == d
+        for n, (a, b) in enumerate(zip(from_arrays, from_states)):
+            assert a.q.tobytes() == b.q.tobytes() == q[n].tobytes()
+            assert a.p.tobytes() == b.p.tobytes() == p[n].tobytes()
+            assert from_arrays[n] == b
+        assert from_arrays.states == from_states.states
+
+    def test_rows_are_read_only_and_the_input_is_copied(self):
+        q = np.array([[0.0, 1.0], [2.0, 3.0]])
+        p = np.zeros((2, 2))
+        t = NodeTrajectory(q=q, p=p)
+        q[1, 0] = 99.0  # the trajectory keeps its own copy
+        assert t[1].q[0] == 2.0
+        for state in (t[1], next(iter(t)), t.states[0]):
+            with pytest.raises(ValueError):
+                state.q[0] = 5.0
+            with pytest.raises(ValueError):
+                state.p[0] = 5.0
+
+    def test_positions_and_momenta_do_not_alias(self):
+        t = _traj([[0.0, 1.0], [2.0, 3.0]], [[4.0, 5.0], [6.0, 7.0]])
+        positions, momenta = t.positions(), t.momenta()
+        positions[:] = -1.0
+        momenta[:] = -1.0
+        assert t[1].q.tolist() == [2.0, 3.0]
+        assert t[1].p.tolist() == [6.0, 7.0]
+        assert not np.shares_memory(t.positions(), t[0].q)
+        assert not np.shares_memory(t.momenta(), t[0].p)
+
+    def test_rejects_bad_arrays(self):
+        with pytest.raises(ValueError, match="finite"):
+            NodeTrajectory(q=[[0.0], [np.nan]], p=[[0.0], [0.0]])
+        with pytest.raises(ValueError, match="one shape"):
+            NodeTrajectory(q=[[0.0], [1.0]], p=[[0.0]])
+        with pytest.raises(ValueError, match="one shape"):
+            NodeTrajectory(q=[0.0, 1.0], p=[0.0, 1.0])
+        with pytest.raises(ValueError, match="initial node"):
+            NodeTrajectory(q=np.empty((0, 2)), p=np.empty((0, 2)))
+        with pytest.raises(TypeError):
+            NodeTrajectory((PhaseState(q=[0.0], p=[0.0]),), q=[[0.0]], p=[[0.0]])
+        with pytest.raises(TypeError):
+            NodeTrajectory(q=[[0.0]])
+
+
+def _csv_writer_trajectory(trajectory, path, window_dt):
+    """The trajectory writer as it was written with csv.writer (frozen reference)."""
+    d = trajectory.dim
+    header = ["n", "t"] + [f"q_{i}" for i in range(d)] + [f"p_{i}" for i in range(d)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for n, state in enumerate(trajectory):
+            row = [str(n), format(n * window_dt, ".17g")]
+            row += [format(x, ".17g") for x in state.q]
+            row += [format(x, ".17g") for x in state.p]
+            writer.writerow(row)
+
+
 class TestTrajectoryCsv:
+    @pytest.mark.parametrize("window_dt", [0.125, 0.1, 1e-3])
+    def test_bytes_equal_the_csv_writer_reference(self, tmp_path, window_dt):
+        rng = np.random.default_rng(3)
+        q = rng.normal(size=(12, 3)) * 10.0 ** rng.integers(-300, 300, size=(12, 3))
+        p = rng.normal(size=(12, 3))
+        q[0] = [0.0, -0.0, 5e-324]
+        p[0] = [1e308, -1e308, -5e-324]
+        t = NodeTrajectory(q=q, p=p)
+        write_trajectory_csv(t, tmp_path / "new.csv", window_dt)
+        _csv_writer_trajectory(t, tmp_path / "ref.csv", window_dt)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert read_trajectory_csv(tmp_path / "new.csv") == t
+
     def test_roundtrip_bitwise(self, tmp_path):
         rng = np.random.default_rng(7)
         states = tuple(
@@ -170,3 +260,36 @@ class TestTrajectoryCsv:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             read_trajectory_csv(path)
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_the_old_file_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "gains.csv"
+        path.write_text("old content\n")
+
+        def rows():
+            yield ("1", "2", "3", "4", "5", "6")
+            raise RuntimeError("writer failed mid-way")
+
+        with pytest.raises(RuntimeError, match="mid-way"):
+            write_gain_csv(path, rows())
+        assert path.read_text() == "old content\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["gains.csv"]
+
+    def test_interrupted_block_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+        with pytest.raises(KeyboardInterrupt):
+            with atomic_open(path) as fh:
+                fh.write("new")
+                raise KeyboardInterrupt
+        assert path.read_text() == "old"
+        assert [f.name for f in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_success_replaces_the_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+        with atomic_open(path) as fh:
+            fh.write("new\r\n")
+        assert path.read_bytes() == b"new\r\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["out.txt"]

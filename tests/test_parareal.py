@@ -228,7 +228,7 @@ class TestSequentialPropagate:
         initial, pair, params, schedule, plan = _dw_setup(4)
         traj = sequential_propagate(initial, 0, pair.fine, params, schedule, plan)
         assert len(traj) == 1
-        assert traj[0] is initial
+        assert traj[0] == initial
 
     def test_free_streaming_is_exact(self):
         # gamma = 0 and inv_beta = 0: q_n = q_0 + n * window_dt * p_0 exactly
