@@ -784,12 +784,12 @@ def _write_json(path: Path, payload: dict[str, Any]) -> Path:
 
 def _write_history_csv(path: Path, history) -> Path:
     """``slab,iteration,delta`` rows with :func:`csv.writer`'s bytes
-    (``\\r\\n`` line ends, no field needs quoting), joined once."""
-    lines = ["slab,iteration,delta"]
-    lines += [f"{slab},{iteration},{delta:.17g}" for slab, iteration, delta in history]
-    lines.append("")
+    (``\\r\\n`` line ends, no field needs quoting)."""
     with atomic_open(path) as fh:
-        fh.write("\r\n".join(lines))
+        fh.write("slab,iteration,delta\r\n")
+        fh.writelines(
+            f"{slab},{iteration},{delta:.17g}\r\n" for slab, iteration, delta in history
+        )
     return path
 
 

@@ -238,13 +238,13 @@ def write_trajectory_csv(
     """
     d = trajectory.dim
     header = ["n", "t"] + [f"q_{i}" for i in range(d)] + [f"p_{i}" for i in range(d)]
-    lines = [",".join(header)]
     rows = np.hstack([trajectory._q, trajectory._p]).tolist()
-    for n, row in enumerate(rows):
-        lines.append(f"{n},{n * window_dt:.17g}," + ",".join([format(x, ".17g") for x in row]))
-    lines.append("")
     with atomic_open(path) as fh:
-        fh.write("\r\n".join(lines))
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(
+            f"{n},{n * window_dt:.17g}," + ",".join([format(x, ".17g") for x in row]) + "\r\n"
+            for n, row in enumerate(rows)
+        )
 
 
 def read_trajectory_csv(path: str | Path) -> NodeTrajectory:
@@ -254,7 +254,11 @@ def read_trajectory_csv(path: str | Path) -> NodeTrajectory:
         header = next(reader)
         if len(header) < 4 or header[0] != "n" or header[1] != "t":
             raise ValueError(f"unrecognized trajectory header: {header}")
+        if len(header) % 2:
+            raise ValueError(f"trajectory header needs as many p as q columns: {header}")
         d = (len(header) - 2) // 2
         values = np.array([[float(x) for x in row[2:]] for row in reader], dtype=float)
+    if len(values) and (values.ndim != 2 or values.shape[1] != 2 * d):
+        raise ValueError(f"trajectory rows must carry {2 * d} values after n and t")
     values = values.reshape(-1, 2 * d)
     return NodeTrajectory(q=values[:, :d], p=values[:, d:])

@@ -78,7 +78,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Callable, NamedTuple
 
@@ -207,29 +207,9 @@ class PararealResult:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "slabs", tuple(self.slabs))
-        object.__setattr__(
-            self,
-            "error_history",
-            tuple((int(s), int(k), float(e)) for s, k, e in self.error_history),
-        )
+        object.__setattr__(self, "error_history", tuple(self.error_history))
         if self.iterates is not None:
             object.__setattr__(self, "iterates", tuple(self.iterates))
-        self._check()
-
-    @classmethod
-    def _from_loop(cls, trajectory, slabs, error_history, converged, iterates=None):
-        """A result from the loop's own values: ``slabs`` and ``iterates`` are
-        tuples and ``error_history`` a tuple of plain ``(int, int, float)``
-        triples, so only the checks run, not the conversion entry by entry."""
-        result = cls.__new__(cls)
-        result.__dict__.update(
-            trajectory=trajectory, slabs=slabs, error_history=error_history,
-            converged=converged, iterates=iterates,
-        )
-        result._check()
-        return result
-
-    def _check(self) -> None:
         if not self.slabs:
             raise ValueError("a result needs at least one slab record")
         if self.slabs[0].n_init != 0:
@@ -375,7 +355,7 @@ def sequential_propagate(
         raise ValueError(f"n_windows must be >= 0, got {n_windows}")
     _check_plan(plan, n_windows)
     if n_windows == 0:
-        return NodeTrajectory((initial,))
+        return _trajectory([initial.q], [initial.p], initial.dim)
     (windows,) = PlanWindows.for_potentials([pot], params, schedule, plan, initial)
     q, p = windows.raw(initial)
     qs, ps = [q], [p]
@@ -782,12 +762,12 @@ def _parareal_loop(initial, fine, coarse, config, delta_expl, record_iterates=Fa
         if aborted:
             converged = False
             break
-    return PararealResult._from_loop(
-        trajectory(),
-        tuple(slabs),
-        tuple(history),
-        converged,
-        tuple(iterates) if record_iterates else None,
+    return PararealResult(
+        trajectory=trajectory(),
+        slabs=slabs,
+        error_history=history,
+        converged=converged,
+        iterates=iterates if record_iterates else None,
     )
 
 
@@ -809,10 +789,7 @@ def parareal_classic_engine(
         initial, _windows(fine), _windows(coarse), config, math.inf, record_iterates
     )
     n = config.n_windows
-    return PararealResult._from_loop(
-        result.trajectory, result.slabs, result.error_history[n - 1 :: n],
-        result.converged, result.iterates,
-    )
+    return replace(result, error_history=result.error_history[n - 1 :: n])
 
 
 def parareal_adaptive_engine(

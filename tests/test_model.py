@@ -261,6 +261,32 @@ class TestTrajectoryCsv:
         with pytest.raises(ValueError):
             read_trajectory_csv(path)
 
+    def test_rejects_odd_header(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("n,t,q_0,q_1,p_0\r\n0,0,1,2,3\r\n")
+        with pytest.raises(ValueError, match="as many p as q"):
+            read_trajectory_csv(path)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "0,0,1,2,3,4\r\n1,1,5,6,7,8\r\n",  # every row twice the header's width
+            "0,0,1,2\r\n1,1,3\r\n",  # one row short
+            "0,0\r\n",  # no values at all
+        ],
+    )
+    def test_rejects_rows_of_the_wrong_width(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("n,t,q_0,p_0\r\n" + body)
+        with pytest.raises(ValueError):
+            read_trajectory_csv(path)
+
+    def test_rejects_an_empty_body(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("n,t,q_0,p_0\r\n")
+        with pytest.raises(ValueError, match="initial node"):
+            read_trajectory_csv(path)
+
 
 class TestAtomicWrites:
     def test_failed_write_keeps_the_old_file_and_leaves_no_temporary(self, tmp_path):
