@@ -19,11 +19,12 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+# Not used here: perfbench's tracer patches ``cli.ThreadPoolExecutor``.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from .integrator import (
     ALL_SUBSTEPS,
     WINDOW_ENDS,
     BlowUpError,
-    InfeasibleScheduleError,
     TemperatureSchedule,
     measure_kinetic_temperature,
 )
@@ -74,33 +74,8 @@ EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_NO_CONVERGENCE = 4
 
-EXPERIMENTS = (
-    "temperature",
-    "sequential",
-    "parareal_classic",
-    "parareal_adaptive",
-    "gain_sweep",
-    "ensemble",
-)
-
 # Offset separating ensemble-member seed derivation from window indices.
 MEMBER_SEED_OFFSET = 10**9
-
-_TOP_LEVEL_KEYS = frozenset(
-    {
-        "experiment",
-        "master_seed",
-        "params",
-        "schedule",
-        "potential",
-        "initial",
-        "parareal",
-        "sweep",
-        "ensemble",
-        "temperature",
-        "output_dir",
-    }
-)
 
 
 class ConfigError(ValueError):
@@ -183,181 +158,237 @@ class ExperimentConfig:
             cost_coarse=self.cost_coarse,
         )
 
-
 # -- config loading and validation -----------------------------------------
+
+
+class _Field(NamedTuple):
+    """How :func:`_read` checks one config field.
+
+    ``read`` is the field's reader, or None for a field that its section's
+    builder reads.  ``required`` is True, False, or the entry of an
+    experiment's ``needs`` that requires the field.
+    """
+
+    read: Callable[..., Any] | None
+    required: bool | str = False
+    default: Any = None
+    minimum: int | None = None  # of an _int
+    choices: tuple[str, ...] = ()  # of a _choice
+    missing: str = "missing required field"  # what an absent required field reports
+
+
+_Fields = dict[str, _Field]
 
 
 def _err(errors: list[str], path: str, message: str) -> None:
     errors.append(f"{path}: {message}")
 
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _finite(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def _reject_unknown(
-    section: Mapping[str, Any], allowed: frozenset[str], path: str, errors: list[str]
-) -> None:
-    for key in section:
-        if key not in allowed:
-            _err(errors, f"{path}.{key}" if path else key, "unknown field")
+def _build(cls: type, values: Mapping[str, Any], path: str, errors: list[str]) -> Any:
+    """``cls(**values)``, or None once the class's own ValueError is reported at ``path``."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        _err(errors, path, str(exc))
+        return None
 
 
-def _number_field(
-    section: Mapping[str, Any],
-    key: str,
-    path: str,
-    errors: list[str],
-    required: bool = True,
-    default: float | None = None,
-) -> float | None:
-    if key not in section:
-        if required:
-            _err(errors, f"{path}.{key}", "missing required field")
-        return default
-    value = section[key]
-    if not _is_number(value) or not math.isfinite(value):
-        _err(errors, f"{path}.{key}", f"must be a finite number, got {value!r}")
+# Field readers: each returns the field's value, or None once it has
+# reported why there is none.
+
+
+def _number(value: Any, path: str, errors: list[str], field: _Field | None = None) -> float | None:
+    if not _finite(value):
+        _err(errors, path, f"must be a finite number, got {value!r}")
         return None
     return float(value)
 
 
-def _int_field(
-    section: Mapping[str, Any],
-    key: str,
-    path: str,
-    errors: list[str],
-    required: bool = True,
-    default: int | None = None,
-    minimum: int | None = None,
-) -> int | None:
-    if key not in section:
-        if required:
-            _err(errors, f"{path}.{key}", "missing required field")
-        return default
-    value = section[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        _err(errors, f"{path}.{key}", f"must be an integer, got {value!r}")
-        return None
-    if minimum is not None and value < minimum:
-        _err(errors, f"{path}.{key}", f"must be >= {minimum}, got {value}")
+def _fraction(value: Any, path: str, errors: list[str], field: _Field) -> float | None:
+    value = _number(value, path, errors)
+    if value is not None and not 0.0 <= value < 1.0:
+        _err(errors, path, f"must lie in [0, 1), got {value}")
         return None
     return value
 
 
-def _vector_field(value: Any, path: str, errors: list[str]) -> tuple[float, ...] | None:
-    if (
-        not isinstance(value, list)
-        or not value
-        or not all(_is_number(x) and math.isfinite(x) for x in value)
-    ):
-        _err(errors, path, "must be a non-empty list of finite numbers")
+def _int(value: Any, path: str, errors: list[str], field: _Field) -> int | None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        _err(errors, path, f"must be an integer, got {value!r}")
         return None
-    return tuple(float(x) for x in value)
+    if field.minimum is not None and value < field.minimum:
+        _err(errors, path, f"must be >= {field.minimum}, got {value}")
+        return None
+    return value
 
 
-def _build_params(raw: Mapping[str, Any], errors: list[str]) -> LangevinParams | None:
-    section = raw.get("params")
-    if not isinstance(section, dict):
-        _err(errors, "params", "missing required section")
-        return None
-    _reject_unknown(
-        section, frozenset({"gamma", "inv_beta", "dt", "substeps", "mass"}), "params", errors
-    )
-    gamma = _number_field(section, "gamma", "params", errors)
-    inv_beta = _number_field(section, "inv_beta", "params", errors)
-    dt = _number_field(section, "dt", "params", errors)
-    substeps = _int_field(section, "substeps", "params", errors, required=False, default=1, minimum=1)
-    mass = None
-    if section.get("mass") is not None:
-        mass = _vector_field(section["mass"], "params.mass", errors)
-    if None in (gamma, inv_beta, dt, substeps):
-        return None
-    try:
-        return LangevinParams(
-            gamma=gamma,
-            inv_beta=inv_beta,
-            dt=dt,
-            substeps=substeps,
-            mass=None if mass is None else np.asarray(mass),
-        )
-    except ValueError as exc:
-        _err(errors, "params", str(exc))
-        return None
+def _vector(value: Any, path: str, errors: list[str], field: _Field | None = None):
+    if isinstance(value, list) and value and all(_finite(x) for x in value):
+        return tuple(float(x) for x in value)
+    _err(errors, path, "must be a non-empty list of finite numbers")
+    return None
 
 
-def _build_one_potential(spec: Any, path: str, errors: list[str]) -> Potential | None:
+def _coefficient(value: Any, path: str, errors: list[str], field: _Field):
+    """A potential's per-axis coefficient: one number for every axis, or a list."""
+    if isinstance(value, list):
+        return _vector(value, path, errors)
+    if not _finite(value):
+        _err(errors, path, f"must be a finite number or a list of them, got {value!r}")
+        return None
+    return float(value)
+
+
+def _choice(value: Any, path: str, errors: list[str], field: _Field) -> str | None:
+    if value not in field.choices:
+        _err(errors, path, f"must be {' or '.join(map(repr, field.choices))}, got {value!r}")
+        return None
+    return value
+
+
+_NOT_POINTS = "must be a non-empty list of position lists"
+
+
+def _points(value: Any, path: str, errors: list[str], field: _Field):
+    """Basin starting points: a non-empty list of positions of one dimension."""
+    if not isinstance(value, list) or not value:
+        _err(errors, path, _NOT_POINTS)
+        return None
+    points = [_vector(entry, f"{path}[{i}]", errors) for i, entry in enumerate(value)]
+    if None in points:
+        return None
+    if len({len(point) for point in points}) > 1:
+        _err(errors, path, "entries have inconsistent dimensions")
+        return None
+    return tuple(points)
+
+
+def _potential(spec: Any, path: str, errors: list[str], field: _Field) -> Potential | None:
     if not isinstance(spec, dict):
         _err(errors, path, "must be an object with a 'kind' field")
         return None
     kind = spec.get("kind")
-    try:
-        if kind == "free":
-            _reject_unknown(spec, frozenset({"kind"}), path, errors)
-            return Free()
-        if kind == "harmonic":
-            _reject_unknown(spec, frozenset({"kind", "k"}), path, errors)
-            return Harmonic(k=spec.get("k", 1.0))
-        if kind == "double_well":
-            _reject_unknown(spec, frozenset({"kind", "a", "b"}), path, errors)
-            return DoubleWell(a=spec.get("a", 1.0), b=spec.get("b", 1.0))
-        if kind == "lennard_jones":
-            _reject_unknown(
-                spec, frozenset({"kind", "epsilon", "sigma", "n_atoms", "space_dim"}), path, errors
-            )
-            return LennardJonesCluster(
-                epsilon=spec.get("epsilon", 1.0),
-                sigma=spec.get("sigma", 1.0),
-                n_atoms=spec.get("n_atoms", 7),
-                space_dim=spec.get("space_dim", 2),
-            )
+    if not isinstance(kind, str) or kind not in _POTENTIALS:
         _err(errors, f"{path}.kind", f"unknown potential kind {kind!r}")
-    except (TypeError, ValueError) as exc:
-        _err(errors, path, str(exc))
-    return None
+        return None
+    cls, fields = _POTENTIALS[kind]
+    spec = {key: value for key, value in spec.items() if key != "kind"}
+    values, ok = _read(spec, path, frozenset(), errors, fields)
+    return _build(cls, values, path, errors) if ok else None
 
 
-def _build_potentials(
-    raw: Mapping[str, Any], need: str, errors: list[str]
-) -> tuple[Potential | None, Potential | None, float, float]:
-    """Build the fine/coarse potentials; ``need`` is none, fine, or pair."""
-    section = raw.get("potential")
-    if section is None:
-        if need != "none":
-            _err(errors, "potential", "missing required section")
-        return None, None, 1.0, 1.0
+_COEFFICIENT = _Field(_coefficient, default=1.0)
+
+# Each potential kind's class and fields; the class checks the values.
+_POTENTIALS: dict[str, tuple[type[Potential], _Fields]] = {
+    "free": (Free, {}),
+    "harmonic": (Harmonic, {"k": _COEFFICIENT}),
+    "double_well": (DoubleWell, {"a": _COEFFICIENT, "b": _COEFFICIENT}),
+    "lennard_jones": (
+        LennardJonesCluster,
+        {
+            "epsilon": _Field(_number, default=1.0),
+            "sigma": _Field(_number, default=1.0),
+            "n_atoms": _Field(_int, default=7),
+            "space_dim": _Field(_int, default=2),
+        },
+    ),
+}
+
+# Each section's fields, in the order their problems are reported.  A section
+# is required when its name is among the experiment's needs.
+_SECTIONS: dict[str, _Fields] = {
+    "params": {
+        "gamma": _Field(_number, True),
+        "inv_beta": _Field(_number, True),
+        "dt": _Field(_number, True),
+        "substeps": _Field(_int, default=1, minimum=1),
+        "mass": _Field(None),  # a vector; null means unit masses
+    },
+    "potential": {
+        "fine": _Field(_potential, "fine"),
+        "coarse": _Field(_potential, "coarse"),
+        "cost_fine": _Field(_number, default=1.0),
+        "cost_coarse": _Field(_number, default=1.0),
+    },
+    # p is read once q is valid; null means zero momenta
+    "initial": {"q": _Field(_vector, True), "p": _Field(None)},
+    "parareal": {
+        "n_windows": _Field(_int, "n_windows", minimum=1),
+        "delta_conv": _Field(_number, "delta_conv"),
+        "delta_expl": _Field(_number, "delta_expl"),
+        "k_max": _Field(_int, minimum=1),
+    },
+    "sweep": {
+        key: _Field(_vector, True, missing="missing required grid")
+        for key in ("dt", "delta_conv", "delta_expl")
+    },
+    "ensemble": {
+        "size": _Field(_int, True, minimum=2),
+        "segment_windows": _Field(_int, True, minimum=1),
+        "thermalization_windows": _Field(_int, default=0, minimum=0),
+        "min_run": _Field(_int, default=1, minimum=1),
+        "histogram_bin_width": _Field(_int, default=50, minimum=1),
+        "basin_starts": _Field(_points, True, missing=_NOT_POINTS),
+    },
+    "temperature": {
+        "n_windows": _Field(_int, True, minimum=1),
+        "dimension": _Field(_int, default=1, minimum=1),
+        "burn_in": _Field(_fraction, default=0.1),
+        "sampling": _Field(_choice, default=ALL_SUBSTEPS, choices=(ALL_SUBSTEPS, WINDOW_ENDS)),
+    },
+}
+
+_TOP_LEVEL_KEYS = frozenset({"experiment", "master_seed", "schedule", "output_dir", *_SECTIONS})
+
+
+def _read(
+    section: Any, path: str, needs: frozenset[str], errors: list[str], fields: _Fields | None = None
+) -> tuple[dict[str, Any], bool]:
+    """Check ``section`` against ``fields`` (by default, those of the
+    top-level section ``path``), reporting every problem.
+
+    Returns each field's value (its default when absent or invalid) and
+    whether the section is complete: an object whose fields all read.
+    Unknown fields are reported without making the section incomplete.
+    """
+    fields = _SECTIONS[path] if fields is None else fields
     if not isinstance(section, dict):
-        _err(errors, "potential", "must be an object")
-        return None, None, 1.0, 1.0
-    _reject_unknown(
-        section, frozenset({"fine", "coarse", "cost_fine", "cost_coarse"}), "potential", errors
-    )
-    fine = coarse = None
-    if "fine" in section:
-        fine = _build_one_potential(section["fine"], "potential.fine", errors)
-    elif need != "none":
-        _err(errors, "potential.fine", "missing required field")
-    if "coarse" in section:
-        coarse = _build_one_potential(section["coarse"], "potential.coarse", errors)
-    elif need == "pair":
-        _err(errors, "potential.coarse", "missing required field")
-    cost_fine = _number_field(section, "cost_fine", "potential", errors, required=False, default=1.0)
-    cost_coarse = _number_field(
-        section, "cost_coarse", "potential", errors, required=False, default=1.0
-    )
-    if cost_fine is None:
-        cost_fine = 1.0
-    if cost_coarse is None:
-        cost_coarse = 1.0
-    if fine is not None and coarse is not None:
-        try:
-            PropagatorPair(fine=fine, coarse=coarse, cost_fine=cost_fine, cost_coarse=cost_coarse)
-        except ValueError as exc:
-            _err(errors, "potential", str(exc))
-    return fine, coarse, cost_fine, cost_coarse
+        if section is not None:
+            _err(errors, path, "must be an object")
+        elif path in needs:
+            _err(errors, path, "missing required section")
+        else:
+            # an absent optional section still owes the fields a need requires (by name)
+            for key in sorted(fields):
+                if fields[key].required in needs:
+                    _err(errors, f"{path}.{key}", "missing required field")
+        return {key: field.default for key, field in fields.items()}, False
+    for key in section:
+        if key not in fields:
+            _err(errors, f"{path}.{key}", "unknown field")
+    values: dict[str, Any] = {}
+    ok = True
+    for key, field in fields.items():
+        if key not in section:
+            values[key] = field.default
+            if field.required is True or field.required in needs:
+                _err(errors, f"{path}.{key}", field.missing)
+                ok = False
+        elif field.read is None:
+            values[key] = section[key]
+        else:
+            value = field.read(section[key], f"{path}.{key}", errors, field)
+            ok = ok and value is not None
+            values[key] = field.default if value is None else value
+    return values, ok
 
 
-def _build_schedule(
+def _schedule(
     raw: Mapping[str, Any], substeps: int | None, errors: list[str]
 ) -> TemperatureSchedule | None:
     if "schedule" not in raw:
@@ -375,7 +406,7 @@ def _build_schedule(
                 return None
             return TemperatureSchedule.flat_pair()
         if isinstance(spec, list):
-            weights = _vector_field(spec, "schedule", errors)
+            weights = _vector(spec, "schedule", errors)
             if weights is None:
                 return None
             schedule = TemperatureSchedule(coefficients=weights)
@@ -388,103 +419,49 @@ def _build_schedule(
                 return None
             return schedule
         _err(errors, "schedule", "expected 'identity', 'robust', 'flat2', or a weight list")
-    except (ValueError, InfeasibleScheduleError) as exc:
+    except ValueError as exc:  # InfeasibleScheduleError included
         _err(errors, "schedule", str(exc))
     return None
 
 
-def _build_initial(
-    raw: Mapping[str, Any], required: bool, errors: list[str]
-) -> PhaseState | None:
-    section = raw.get("initial")
-    if section is None:
-        if required:
-            _err(errors, "initial", "missing required section")
-        return None
-    if not isinstance(section, dict):
-        _err(errors, "initial", "must be an object")
-        return None
-    _reject_unknown(section, frozenset({"q", "p"}), "initial", errors)
-    if "q" not in section:
-        _err(errors, "initial.q", "missing required field")
-        return None
-    q = _vector_field(section["q"], "initial.q", errors)
-    if q is None:
-        return None
-    p: tuple[float, ...] | None = (0.0,) * len(q)
-    if section.get("p") is not None:
-        p = _vector_field(section["p"], "initial.p", errors)
-        if p is None:
-            return None
-        if len(p) != len(q):
-            _err(errors, "initial.p", f"has {len(p)} components, q has {len(q)}")
-            return None
-    return PhaseState(q=np.asarray(q), p=np.asarray(p))
-
-
-def _build_parareal_fields(
+def _initial(
     raw: Mapping[str, Any], needs: frozenset[str], errors: list[str]
-) -> tuple[int | None, float | None, float | None, int | None]:
-    required_keys = needs & {"n_windows", "delta_conv", "delta_expl"}
-    section = raw.get("parareal")
-    if section is None:
-        for key in sorted(required_keys):
-            _err(errors, f"parareal.{key}", "missing required field")
-        return None, None, None, None
-    if not isinstance(section, dict):
-        _err(errors, "parareal", "must be an object")
-        return None, None, None, None
-    _reject_unknown(
-        section, frozenset({"n_windows", "delta_conv", "delta_expl", "k_max"}), "parareal", errors
-    )
-    n_windows = _int_field(
-        section, "n_windows", "parareal", errors, required="n_windows" in needs, minimum=1
-    )
-    delta_conv = _number_field(
-        section, "delta_conv", "parareal", errors, required="delta_conv" in needs
-    )
-    delta_expl = _number_field(
-        section, "delta_expl", "parareal", errors, required="delta_expl" in needs
-    )
-    k_max = _int_field(section, "k_max", "parareal", errors, required=False, minimum=1)
-    if delta_conv is not None and delta_conv <= 0.0:
-        _err(errors, "parareal.delta_conv", f"must be positive, got {delta_conv}")
-        delta_conv = None
-    if delta_expl is not None and delta_expl <= 0.0:
-        _err(errors, "parareal.delta_expl", f"must be positive, got {delta_expl}")
-        delta_expl = None
+) -> PhaseState | None:
+    values, ok = _read(raw.get("initial"), "initial", needs, errors)
+    if not ok:
+        return None
+    q, p = values["q"], values["p"]
+    p = (0.0,) * len(q) if p is None else _vector(p, "initial.p", errors)
+    if p is None:
+        return None
+    if len(p) != len(q):
+        _err(errors, "initial.p", f"has {len(p)} components, q has {len(q)}")
+        return None
+    return PhaseState(q=q, p=p)
+
+
+def _parareal(raw: Mapping[str, Any], needs: frozenset[str], errors: list[str]) -> dict[str, Any]:
+    """``n_windows``, ``delta_conv``, ``delta_expl`` and ``k_max``; None where invalid."""
+    values, _ = _read(raw.get("parareal"), "parareal", needs, errors)
+    for key in ("delta_conv", "delta_expl"):
+        if values[key] is not None and values[key] <= 0.0:
+            _err(errors, f"parareal.{key}", f"must be positive, got {values[key]}")
+            values[key] = None
+    delta_conv, delta_expl = values["delta_conv"], values["delta_expl"]
     if delta_conv is not None and delta_expl is not None and delta_expl <= delta_conv:
         _err(
             errors,
             "parareal.delta_expl",
             f"must exceed delta_conv: got {delta_expl} <= {delta_conv}",
         )
-    return n_windows, delta_conv, delta_expl, k_max
+    return values
 
 
-def _build_sweep(
-    raw: Mapping[str, Any],
-    required: bool,
-    params: LangevinParams | None,
-    errors: list[str],
+def _sweep(
+    raw: Mapping[str, Any], needs: frozenset[str], params: LangevinParams | None, errors: list[str]
 ) -> SweepGrid | None:
-    section = raw.get("sweep")
-    if section is None:
-        if required:
-            _err(errors, "sweep", "missing required section")
-        return None
-    if not isinstance(section, dict):
-        _err(errors, "sweep", "must be an object")
-        return None
-    _reject_unknown(section, frozenset({"dt", "delta_conv", "delta_expl"}), "sweep", errors)
-    grids: dict[str, tuple[float, ...] | None] = {}
-    for key in ("dt", "delta_conv", "delta_expl"):
-        if key not in section:
-            _err(errors, f"sweep.{key}", "missing required grid")
-            grids[key] = None
-            continue
-        grids[key] = _vector_field(section[key], f"sweep.{key}", errors)
-    if any(grid is None for grid in grids.values()):
+    grids, ok = _read(raw.get("sweep"), "sweep", needs, errors)
+    if not ok:
         return None
     for i, dt in enumerate(grids["dt"]):
         if not dt > 0.0:
@@ -495,236 +472,93 @@ def _build_sweep(
         for i, value in enumerate(grids[key]):
             if not value > 0.0:
                 _err(errors, f"sweep.{key}[{i}]", f"must be positive, got {value}")
-    if grids["delta_conv"] and grids["delta_expl"]:
-        worst_conv = max(grids["delta_conv"])
-        worst_expl = min(grids["delta_expl"])
-        if worst_expl <= worst_conv:
-            _err(
-                errors,
-                "sweep.delta_expl",
-                f"every value must exceed every delta_conv: got {worst_expl} <= {worst_conv}",
-            )
-    return SweepGrid(
-        dt=grids["dt"], delta_conv=grids["delta_conv"], delta_expl=grids["delta_expl"]
-    )
-
-
-def _build_ensemble(
-    raw: Mapping[str, Any], required: bool, errors: list[str]
-) -> EnsembleSpec | None:
-    section = raw.get("ensemble")
-    if section is None:
-        if required:
-            _err(errors, "ensemble", "missing required section")
-        return None
-    if not isinstance(section, dict):
-        _err(errors, "ensemble", "must be an object")
-        return None
-    allowed = frozenset(
-        {
-            "size",
-            "segment_windows",
-            "thermalization_windows",
-            "basin_starts",
-            "min_run",
-            "histogram_bin_width",
-        }
-    )
-    _reject_unknown(section, allowed, "ensemble", errors)
-    size = _int_field(section, "size", "ensemble", errors, minimum=2)
-    segment = _int_field(section, "segment_windows", "ensemble", errors, minimum=1)
-    therm = _int_field(
-        section, "thermalization_windows", "ensemble", errors, required=False, default=0, minimum=0
-    )
-    min_run = _int_field(section, "min_run", "ensemble", errors, required=False, default=1, minimum=1)
-    bin_width = _int_field(
-        section, "histogram_bin_width", "ensemble", errors, required=False, default=50, minimum=1
-    )
-    starts_raw = section.get("basin_starts")
-    starts: tuple[tuple[float, ...], ...] | None = None
-    if not isinstance(starts_raw, list) or not starts_raw:
-        _err(errors, "ensemble.basin_starts", "must be a non-empty list of position lists")
-    else:
-        built = []
-        for i, entry in enumerate(starts_raw):
-            vec = _vector_field(entry, f"ensemble.basin_starts[{i}]", errors)
-            if vec is not None:
-                built.append(vec)
-        if len(built) == len(starts_raw):
-            dims = {len(v) for v in built}
-            if len(dims) > 1:
-                _err(errors, "ensemble.basin_starts", "entries have inconsistent dimensions")
-            else:
-                starts = tuple(built)
-    if None in (size, segment, therm, min_run, bin_width) or starts is None:
-        return None
-    return EnsembleSpec(
-        size=size,
-        segment_windows=segment,
-        thermalization_windows=therm,
-        basin_starts=starts,
-        min_run=min_run,
-        histogram_bin_width=bin_width,
-    )
-
-
-def _build_temperature(
-    raw: Mapping[str, Any], required: bool, errors: list[str]
-) -> TemperatureSpec | None:
-    section = raw.get("temperature")
-    if section is None:
-        if required:
-            _err(errors, "temperature", "missing required section")
-        return None
-    if not isinstance(section, dict):
-        _err(errors, "temperature", "must be an object")
-        return None
-    _reject_unknown(
-        section, frozenset({"n_windows", "dimension", "burn_in", "sampling"}), "temperature", errors
-    )
-    n_windows = _int_field(section, "n_windows", "temperature", errors, minimum=1)
-    dimension = _int_field(section, "dimension", "temperature", errors, required=False, default=1, minimum=1)
-    burn_in = _number_field(section, "burn_in", "temperature", errors, required=False, default=0.1)
-    if burn_in is not None and not 0.0 <= burn_in < 1.0:
-        _err(errors, "temperature.burn_in", f"must lie in [0, 1), got {burn_in}")
-        burn_in = None
-    sampling = section.get("sampling", ALL_SUBSTEPS)
-    if sampling not in (ALL_SUBSTEPS, WINDOW_ENDS):
+    worst_conv = max(grids["delta_conv"])
+    worst_expl = min(grids["delta_expl"])
+    if worst_expl <= worst_conv:
         _err(
             errors,
-            "temperature.sampling",
-            f"must be {ALL_SUBSTEPS!r} or {WINDOW_ENDS!r}, got {sampling!r}",
+            "sweep.delta_expl",
+            f"every value must exceed every delta_conv: got {worst_expl} <= {worst_conv}",
         )
-        sampling = None
-    if None in (n_windows, dimension, burn_in, sampling):
-        return None
-    return TemperatureSpec(
-        n_windows=n_windows, dimension=dimension, burn_in=burn_in, sampling=sampling
-    )
+    return SweepGrid(**grids)
 
 
-# Sections each experiment requires beyond params/schedule/master_seed.
-_REQUIREMENTS: dict[str, frozenset[str]] = {
-    "temperature": frozenset({"temperature"}),
-    "sequential": frozenset({"fine", "initial", "n_windows"}),
-    "parareal_classic": frozenset({"pair", "initial", "n_windows", "delta_conv"}),
-    "parareal_adaptive": frozenset({"pair", "initial", "n_windows", "delta_conv", "delta_expl"}),
-    "gain_sweep": frozenset({"pair", "initial", "n_windows", "sweep"}),
-    "ensemble": frozenset({"pair", "initial", "delta_conv", "delta_expl", "ensemble"}),
-}
-
-
-def _cross_checks(cfg_fields: dict[str, Any], errors: list[str]) -> None:
+def _cross_checks(fields: dict[str, Any], errors: list[str]) -> None:
     """Dimension consistency between sections that are individually valid."""
-    initial: PhaseState | None = cfg_fields["initial"]
-    params: LangevinParams | None = cfg_fields["params"]
-    ensemble: EnsembleSpec | None = cfg_fields["ensemble"]
-    temperature: TemperatureSpec | None = cfg_fields["temperature"]
-    dim = initial.dim if initial is not None else None
-    for name in ("fine", "coarse"):
-        pot: Potential | None = cfg_fields[name]
-        if pot is not None and pot.dimension is not None and dim is not None:
-            if pot.dimension != dim:
+    params, temperature = fields["params"], fields["temperature"]
+    mass = None if params is None else params.mass
+    if fields["initial"] is not None:
+        dim = fields["initial"].dim
+        for name in ("fine", "coarse"):
+            pot = fields[name]
+            if pot is not None and pot.dimension not in (None, dim):
                 _err(
                     errors,
                     "initial.q",
                     f"dimension {dim} does not match potential.{name} dimension {pot.dimension}",
                 )
-    if params is not None and params.mass is not None and dim is not None:
-        if params.mass.shape[0] != dim:
-            _err(
-                errors,
-                "params.mass",
-                f"has {params.mass.shape[0]} components, initial.q has {dim}",
-            )
-    if ensemble is not None and dim is not None:
-        if any(len(start) != dim for start in ensemble.basin_starts):
+        if mass is not None and mass.shape[0] != dim:
+            _err(errors, "params.mass", f"has {mass.shape[0]} components, initial.q has {dim}")
+        ensemble = fields["ensemble"]
+        if ensemble is not None and any(len(start) != dim for start in ensemble.basin_starts):
             _err(errors, "ensemble.basin_starts", f"entries must have dimension {dim}")
-    if (
-        temperature is not None
-        and params is not None
-        and params.mass is not None
-        and temperature.dimension != params.mass.shape[0]
-    ):
+    if temperature is not None and mass is not None and temperature.dimension != mass.shape[0]:
         _err(
             errors,
             "temperature.dimension",
-            f"is {temperature.dimension}, params.mass has {params.mass.shape[0]} components",
+            f"is {temperature.dimension}, params.mass has {mass.shape[0]} components",
         )
 
 
 def _build_config(raw: Mapping[str, Any]) -> tuple[ExperimentConfig | None, list[str]]:
     errors: list[str] = []
-    _reject_unknown(raw, _TOP_LEVEL_KEYS, "", errors)
+    for key in raw:
+        if key not in _TOP_LEVEL_KEYS:
+            _err(errors, key, "unknown field")
 
     experiment = raw.get("experiment")
-    if experiment not in EXPERIMENTS:
-        _err(
-            errors,
-            "experiment",
-            f"must be one of {', '.join(EXPERIMENTS)}; got {experiment!r}",
-        )
-        experiment = None
-    needs = _REQUIREMENTS.get(experiment, frozenset())
+    needs = frozenset({"params"})  # every experiment needs params
+    if isinstance(experiment, str) and experiment in EXPERIMENTS:
+        needs |= EXPERIMENTS[experiment].needs
+    else:
+        _err(errors, "experiment", f"must be one of {', '.join(EXPERIMENTS)}; got {experiment!r}")
 
     master_seed = raw.get("master_seed")
-    if not isinstance(master_seed, int) or isinstance(master_seed, bool):
+    if "master_seed" not in raw:
         _err(errors, "master_seed", "missing required field (an integer in [0, 2^64))")
-        master_seed = None
+    elif not isinstance(master_seed, int) or isinstance(master_seed, bool):
+        _err(errors, "master_seed", f"must be an integer, got {master_seed!r}")
     elif not 0 <= master_seed < 2**64:
         _err(errors, "master_seed", f"must lie in [0, 2^64), got {master_seed}")
-        master_seed = None
 
-    params = _build_params(raw, errors)
-    schedule = _build_schedule(raw, params.substeps if params is not None else None, errors)
-    need_pot = "pair" if "pair" in needs else ("fine" if "fine" in needs else "none")
-    fine, coarse, cost_fine, cost_coarse = _build_potentials(raw, need_pot, errors)
-    initial = _build_initial(raw, "initial" in needs, errors)
-    n_windows, delta_conv, delta_expl, k_max = _build_parareal_fields(raw, needs, errors)
-    sweep = _build_sweep(raw, "sweep" in needs, params, errors)
-    ensemble = _build_ensemble(raw, "ensemble" in needs, errors)
-    temperature = _build_temperature(raw, "temperature" in needs, errors)
+    # every ExperimentConfig field but output_dir and raw, section by section
+    fields: dict[str, Any] = {"experiment": experiment, "master_seed": master_seed}
+    values, ok = _read(raw.get("params"), "params", needs, errors)
+    if values["mass"] is not None:  # an invalid mass is reported and left out
+        values["mass"] = _vector(values["mass"], "params.mass", errors)
+    params = fields["params"] = _build(LangevinParams, values, "params", errors) if ok else None
+    fields["schedule"] = _schedule(raw, None if params is None else params.substeps, errors)
+    potential, _ = _read(raw.get("potential"), "potential", needs, errors)  # bad costs read as 1.0
+    if potential["fine"] is not None and potential["coarse"] is not None:
+        _build(PropagatorPair, potential, "potential", errors)
+    fields.update(potential)
+    fields["initial"] = _initial(raw, needs, errors)
+    fields.update(_parareal(raw, needs, errors))
+    fields["sweep"] = _sweep(raw, needs, params, errors)
+    ensemble, ok = _read(raw.get("ensemble"), "ensemble", needs, errors)
+    fields["ensemble"] = EnsembleSpec(**ensemble) if ok else None
+    temperature, ok = _read(raw.get("temperature"), "temperature", needs, errors)
+    fields["temperature"] = TemperatureSpec(**temperature) if ok else None
 
     output_dir = raw.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         _err(errors, "output_dir", f"must be a string path, got {output_dir!r}")
-        output_dir = None
 
-    fields = {
-        "fine": fine,
-        "coarse": coarse,
-        "initial": initial,
-        "params": params,
-        "ensemble": ensemble,
-        "temperature": temperature,
-    }
     _cross_checks(fields, errors)
-
     if errors:
         return None, errors
-    return (
-        ExperimentConfig(
-            experiment=experiment,
-            master_seed=master_seed,
-            params=params,
-            schedule=schedule,
-            fine=fine,
-            coarse=coarse,
-            cost_fine=cost_fine,
-            cost_coarse=cost_coarse,
-            initial=initial,
-            n_windows=n_windows,
-            delta_conv=delta_conv,
-            delta_expl=delta_expl,
-            k_max=k_max,
-            sweep=sweep,
-            ensemble=ensemble,
-            temperature=temperature,
-            output_dir=None if output_dir is None else Path(output_dir),
-            raw=dict(raw),
-        ),
-        [],
-    )
+    output_dir = None if output_dir is None else Path(output_dir)
+    return ExperimentConfig(**fields, output_dir=output_dir, raw=dict(raw)), []
 
 
 def load_raw_config(path: str | Path) -> dict[str, Any]:
@@ -835,9 +669,7 @@ def _write_manifest(
 # -- protocol runners -------------------------------------------------------
 
 
-def _run_temperature(
-    cfg: ExperimentConfig, out_dir: Path, workers: int, outputs: list[Path]
-) -> int:
+def _run_temperature(cfg: ExperimentConfig, out_dir: Path, outputs: list[Path]) -> int:
     spec = cfg.temperature
     params = cfg.params
     if params.mass is None and spec.dimension > 1:
@@ -868,9 +700,7 @@ def _run_temperature(
     return EXIT_OK
 
 
-def _run_sequential(
-    cfg: ExperimentConfig, out_dir: Path, workers: int, outputs: list[Path]
-) -> int:
+def _run_sequential(cfg: ExperimentConfig, out_dir: Path, outputs: list[Path]) -> int:
     plan = NoisePlan.for_windows(cfg.master_seed, cfg.n_windows)
     trajectory = sequential_propagate(
         cfg.initial, cfg.n_windows, cfg.fine, cfg.params, cfg.schedule, plan
@@ -888,9 +718,7 @@ def _run_sequential(
     return EXIT_OK
 
 
-def _run_parareal(
-    cfg: ExperimentConfig, out_dir: Path, workers: int, outputs: list[Path]
-) -> int:
+def _run_parareal(cfg: ExperimentConfig, out_dir: Path, outputs: list[Path]) -> int:
     adaptive = cfg.experiment == "parareal_adaptive"
     pair = cfg.pair()
     plan = NoisePlan.for_windows(cfg.master_seed, cfg.n_windows)
@@ -933,9 +761,7 @@ def _run_parareal(
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
-def _run_sweep(
-    cfg: ExperimentConfig, out_dir: Path, workers: int, outputs: list[Path]
-) -> int:
+def _run_sweep(cfg: ExperimentConfig, out_dir: Path, outputs: list[Path]) -> int:
     pair = cfg.pair()
     plan = NoisePlan.for_windows(cfg.master_seed, cfg.n_windows)
     rows: list[tuple[str, ...]] = []
@@ -984,9 +810,7 @@ def _run_sweep(
     return EXIT_OK
 
 
-def _run_ensemble(
-    cfg: ExperimentConfig, out_dir: Path, workers: int, outputs: list[Path]
-) -> int:
+def _run_ensemble(cfg: ExperimentConfig, out_dir: Path, outputs: list[Path]) -> int:
     spec = cfg.ensemble
     pair = cfg.pair()
     # equilibration: minimize on the fine surface, then thermalize per member
@@ -1000,7 +824,10 @@ def _run_ensemble(
         k_max=cfg.k_max,
     )
 
-    def run_member(i: int):
+    # every member runs before any is analysed, so a member's failure outranks an
+    # earlier member's non-convergence
+    members = []
+    for i in range(spec.size):
         member_seed = derive_seed(cfg.master_seed, MEMBER_SEED_OFFSET + i)
         state = start
         if spec.thermalization_windows:
@@ -1016,13 +843,7 @@ def _run_ensemble(
             state, spec.segment_windows, pair.fine, cfg.params, cfg.schedule, segment_plan
         )
         result = parareal_adaptive(state, pair, cfg.params, cfg.schedule, segment_plan, config)
-        return fine_traj, result
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            members = list(pool.map(run_member, range(spec.size)))
-    else:
-        members = [run_member(i) for i in range(spec.size)]
+        members.append((fine_traj, result))
 
     fine_events = []
     adaptive_events = []
@@ -1071,22 +892,58 @@ def _run_ensemble(
     return EXIT_OK
 
 
-_SUBCOMMANDS = {
-    "temperature": "temperature",
-    "sequential": "sequential",
-    "parareal": "parareal_classic",
-    "adaptive": "parareal_adaptive",
-    "sweep": "gain_sweep",
-    "ensemble": "ensemble",
-}
+class _Experiment(NamedTuple):
+    """One protocol: its subcommand and help line, the sections and fields
+    its config must supply beyond params, schedule and master_seed, and its
+    runner."""
 
-_RUNNERS = {
-    "temperature": _run_temperature,
-    "sequential": _run_sequential,
-    "parareal_classic": _run_parareal,
-    "parareal_adaptive": _run_parareal,
-    "gain_sweep": _run_sweep,
-    "ensemble": _run_ensemble,
+    command: str
+    help: str
+    needs: frozenset[str]
+    run: Callable[[ExperimentConfig, Path, list[Path]], int]
+
+
+# What every experiment with a fine/coarse pair needs.
+_PAIR_NEEDS = frozenset({"potential", "fine", "coarse", "initial"})
+
+# In the order the ``experiment`` error message lists them.
+EXPERIMENTS: dict[str, _Experiment] = {
+    "temperature": _Experiment(
+        "temperature",
+        "measure the stationary kinetic temperature",
+        frozenset({"temperature"}),
+        _run_temperature,
+    ),
+    "sequential": _Experiment(
+        "sequential",
+        "run the sequential fine baseline",
+        frozenset({"potential", "fine", "initial", "n_windows"}),
+        _run_sequential,
+    ),
+    "parareal_classic": _Experiment(
+        "parareal",
+        "run classic parareal over the whole range",
+        _PAIR_NEEDS | {"n_windows", "delta_conv"},
+        _run_parareal,
+    ),
+    "parareal_adaptive": _Experiment(
+        "adaptive",
+        "run adaptive parareal with explosion-triggered slabs",
+        _PAIR_NEEDS | {"n_windows", "delta_conv", "delta_expl"},
+        _run_parareal,
+    ),
+    "gain_sweep": _Experiment(
+        "sweep",
+        "run an adaptive gain sweep over dt and threshold grids",
+        _PAIR_NEEDS | {"n_windows", "sweep"},
+        _run_sweep,
+    ),
+    "ensemble": _Experiment(
+        "ensemble",
+        "run the equilibrated ensemble consistency protocol",
+        _PAIR_NEEDS | {"delta_conv", "delta_expl", "ensemble"},
+        _run_ensemble,
+    ),
 }
 
 
@@ -1097,30 +954,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "temperature": "measure the stationary kinetic temperature",
-        "sequential": "run the sequential fine baseline",
-        "parareal": "run classic parareal over the whole range",
-        "adaptive": "run adaptive parareal with explosion-triggered slabs",
-        "sweep": "run an adaptive gain sweep over dt and threshold grids",
-        "ensemble": "run the equilibrated ensemble consistency protocol",
-        "validate": "check a config file and report every problem",
-    }
-    for name, help_text in helps.items():
-        cmd = sub.add_parser(name, help=help_text)
+    for name, experiment in EXPERIMENTS.items():
+        cmd = sub.add_parser(experiment.command, help=experiment.help)
+        cmd.set_defaults(experiment=name)
         cmd.add_argument("--config", required=True, type=Path, help="JSON config file")
-        if name != "validate":
-            cmd.add_argument("--out", type=Path, default=None, help="output directory")
-            cmd.add_argument(
-                "--seed", type=int, default=None, help="override the config master_seed"
-            )
-            cmd.add_argument(
-                "--workers",
-                type=int,
-                default=1,
-                help="threads for ensemble members; the other commands accept it "
-                "and run serially (results never depend on it)",
-            )
+        cmd.add_argument("--out", type=Path, default=None, help="output directory")
+        cmd.add_argument("--seed", type=int, default=None, help="override the config master_seed")
+        cmd.add_argument(
+            "--workers",
+            type=int,
+            default=1,
+            help="accepted for compatibility and recorded in the manifest; every run is "
+            "serial, so results never depend on it",
+        )
+    cmd = sub.add_parser("validate", help="check a config file and report every problem")
+    cmd.add_argument("--config", required=True, type=Path, help="JSON config file")
     return parser
 
 
@@ -1145,11 +993,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"ok: {args.config} ({cfg.experiment})")
         return EXIT_OK
 
-    expected = _SUBCOMMANDS[args.command]
-    if cfg.experiment != expected:
+    if cfg.experiment != args.experiment:
         print(
             f"config error: experiment: config declares {cfg.experiment!r} "
-            f"but the {args.command} command runs {expected!r}",
+            f"but the {args.command} command runs {args.experiment!r}",
             file=sys.stderr,
         )
         return EXIT_CONFIG
@@ -1170,7 +1017,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     outputs: list[Path] = []
     _write_manifest(out_dir, cfg, args.workers, outputs, "running")
     try:
-        status = _RUNNERS[cfg.experiment](cfg, out_dir, args.workers, outputs)
+        status = EXPERIMENTS[cfg.experiment].run(cfg, out_dir, outputs)
     except BlowUpError as exc:
         _write_manifest(out_dir, cfg, args.workers, outputs, "incomplete", _error_payload(exc))
         print(f"blow-up: {exc}", file=sys.stderr)

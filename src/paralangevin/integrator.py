@@ -342,8 +342,7 @@ class PlanWindows:
         q = np.asarray(qs, dtype=float).reshape(b, self._d)
         p = np.asarray(ps, dtype=float).reshape(b, self._d)
         first_bad = np.zeros(b, dtype=np.int64)
-        # consecutive windows are a view: no copy, and no release of the GIL,
-        # which would stall threads that run other runs meanwhile
+        # consecutive windows are a view, so they cost no copy
         if isinstance(ms, range):
             noise = self._noise[ms.start : ms.stop]
         else:

@@ -1,8 +1,8 @@
 """Core value types: phase-space states, dynamics parameters, trajectories.
 
 States and parameter sets are immutable so they can be shared freely between
-the sequential reference propagator, parareal iterations, and worker threads
-without defensive copying.
+the sequential reference propagator and parareal iterations without
+defensive copying.
 """
 
 from __future__ import annotations

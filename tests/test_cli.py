@@ -7,6 +7,7 @@ contents, so they cover float formatting and key ordering as well.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import os
@@ -18,7 +19,13 @@ from pathlib import Path
 import pytest
 
 import paralangevin
-from paralangevin import ConfigError, GAIN_CSV_HEADER, read_trajectory_csv, validate_config
+from paralangevin import (
+    ConfigError,
+    GAIN_CSV_HEADER,
+    TemperatureSpec,
+    read_trajectory_csv,
+    validate_config,
+)
 from paralangevin import cli
 from paralangevin.cli import main
 
@@ -176,6 +183,905 @@ class TestValidateConfig:
         assert any("ensemble.basin_starts" in e for e in errors)
 
 
+_DROP = object()
+_INF = float("inf")
+_LJ_PAIR = {
+    "potential.fine": {"kind": "lennard_jones", "n_atoms": 2, "space_dim": 1},
+    "potential.coarse": {"kind": "lennard_jones", "n_atoms": 2, "space_dim": 1},
+    "initial.q": [0.0, 1.1],
+}
+
+# The section each of these experiments adds to the adaptive base config.
+_EXTRA_SECTIONS = {
+    "gain_sweep": {"sweep": {"dt": [0.05], "delta_conv": [1e-8], "delta_expl": [0.35]}},
+    "ensemble": {"ensemble": {"size": 2, "segment_windows": 10, "basin_starts": [[-1.0], [1.0]]}},
+    "temperature": {"temperature": {"n_windows": 10, "dimension": 3}},
+}
+
+
+def _changed_config(changes: dict) -> dict:
+    """A valid config for ``changes["experiment"]`` (adaptive by default) with
+    ``changes`` applied; keys are dotted paths and ``_DROP`` deletes."""
+    experiment = changes.get("experiment")
+    config = _base_config()
+    if isinstance(experiment, str):
+        config.update(copy.deepcopy(_EXTRA_SECTIONS.get(experiment, {})))
+    for path, value in changes.items():
+        *parents, last = path.split(".")
+        node = config
+        for key in parents:
+            node = node[key]
+        if value is _DROP:
+            del node[last]
+        else:
+            node[last] = copy.deepcopy(value)
+    return config
+
+
+# (id, changes, every message validate_config reports, in order); () means accepted.
+_MESSAGE_TABLE = [
+    # top level
+    ("top_unknown_field", {"outdir": "x"}, ("outdir: unknown field",)),
+    (
+        "experiment_missing",
+        {"experiment": _DROP},
+        (
+            "experiment: must be one of temperature, sequential, parareal_classic, "
+            "parareal_adaptive, gain_sweep, ensemble; got None",
+        ),
+    ),
+    (
+        "experiment_unknown",
+        {"experiment": "quenching"},
+        (
+            "experiment: must be one of temperature, sequential, parareal_classic, "
+            "parareal_adaptive, gain_sweep, ensemble; got 'quenching'",
+        ),
+    ),
+    (
+        "experiment_not_a_string",
+        {"experiment": ["ensemble"]},
+        (
+            "experiment: must be one of temperature, sequential, parareal_classic, "
+            "parareal_adaptive, gain_sweep, ensemble; got ['ensemble']",
+        ),
+    ),
+    (
+        "master_seed_missing",
+        {"master_seed": _DROP},
+        ("master_seed: missing required field (an integer in [0, 2^64))",),
+    ),
+    ("master_seed_float", {"master_seed": 1.5}, ("master_seed: must be an integer, got 1.5",)),
+    ("master_seed_string", {"master_seed": "7"}, ("master_seed: must be an integer, got '7'",)),
+    ("master_seed_bool", {"master_seed": True}, ("master_seed: must be an integer, got True",)),
+    ("master_seed_null", {"master_seed": None}, ("master_seed: must be an integer, got None",)),
+    ("master_seed_negative", {"master_seed": -1}, ("master_seed: must lie in [0, 2^64), got -1",)),
+    (
+        "master_seed_too_large",
+        {"master_seed": 2**64},
+        ("master_seed: must lie in [0, 2^64), got 18446744073709551616",),
+    ),
+    ("output_dir_not_a_string", {"output_dir": 5}, ("output_dir: must be a string path, got 5",)),
+    # params
+    ("params_missing", {"params": _DROP}, ("params: missing required section",)),
+    ("params_null", {"params": None}, ("params: missing required section",)),
+    ("params_number", {"params": 5}, ("params: must be an object",)),
+    ("params_list", {"params": []}, ("params: must be an object",)),
+    ("params_unknown_field", {"params.friction": 1.0}, ("params.friction: unknown field",)),
+    (
+        "params_unknown_field_keeps_params",
+        {"params.friction": 1.0, "schedule": "flat2"},
+        ("params.friction: unknown field", "schedule: flat2 needs substeps == 1, got 2"),
+    ),
+    (
+        "params_fields_missing",
+        {"params.gamma": _DROP, "params.inv_beta": _DROP, "params.dt": _DROP},
+        (
+            "params.gamma: missing required field",
+            "params.inv_beta: missing required field",
+            "params.dt: missing required field",
+        ),
+    ),
+    (
+        "params_gamma_string",
+        {"params.gamma": "fast"},
+        ("params.gamma: must be a finite number, got 'fast'",),
+    ),
+    (
+        "params_gamma_bool",
+        {"params.gamma": True},
+        ("params.gamma: must be a finite number, got True",),
+    ),
+    (
+        "params_gamma_null",
+        {"params.gamma": None},
+        ("params.gamma: must be a finite number, got None",),
+    ),
+    (
+        "params_gamma_infinite",
+        {"params.gamma": _INF},
+        ("params.gamma: must be a finite number, got inf",),
+    ),
+    (
+        "params_substeps_float",
+        {"params.substeps": 2.0},
+        ("params.substeps: must be an integer, got 2.0",),
+    ),
+    ("params_substeps_zero", {"params.substeps": 0}, ("params.substeps: must be >= 1, got 0",)),
+    (
+        "params_substeps_default",
+        {"params.substeps": _DROP, "schedule": [3.0, 1.0, 1.0]},
+        ("schedule: lists 2 substeps, params.substeps is 1",),
+    ),
+    (
+        "params_dt_negative",
+        {"params.dt": -0.1},
+        ("params: dt must be positive and finite, got -0.1",),
+    ),
+    (
+        "params_gamma_dt_too_large",
+        {"params.gamma": 50.0},
+        (
+            "params: gamma * dt must stay below 2 so the half-step damping 1 - gamma*dt/2 stays "
+            "positive: got 2.5",
+        ),
+    ),
+    (
+        "params_mass_empty",
+        {"params.mass": []},
+        ("params.mass: must be a non-empty list of finite numbers",),
+    ),
+    (
+        "params_mass_string",
+        {"params.mass": "heavy"},
+        ("params.mass: must be a non-empty list of finite numbers",),
+    ),
+    ("params_mass_null", {"params.mass": None}, ()),
+    (
+        "params_mass_invalid_keeps_params",
+        {"params.mass": [], "schedule": "flat2"},
+        (
+            "params.mass: must be a non-empty list of finite numbers",
+            "schedule: flat2 needs substeps == 1, got 2",
+        ),
+    ),
+    (
+        "params_mass_length",
+        {"params.mass": [1.0, 2.0]},
+        ("params.mass: has 2 components, initial.q has 1",),
+    ),
+    # schedule
+    ("schedule_missing", {"schedule": _DROP}, ("schedule: missing required field",)),
+    (
+        "schedule_unknown",
+        {"schedule": "fast"},
+        ("schedule: expected 'identity', 'robust', 'flat2', or a weight list",),
+    ),
+    (
+        "schedule_null",
+        {"schedule": None},
+        ("schedule: expected 'identity', 'robust', 'flat2', or a weight list",),
+    ),
+    (
+        "schedule_flat2_needs_one_substep",
+        {"schedule": "flat2"},
+        ("schedule: flat2 needs substeps == 1, got 2",),
+    ),
+    ("schedule_flat2_one_substep", {"schedule": "flat2", "params.substeps": 1}, ()),
+    (
+        "schedule_list_length",
+        {"schedule": [3.0, 1.0]},
+        ("schedule: lists 1 substeps, params.substeps is 2",),
+    ),
+    (
+        "schedule_list_empty",
+        {"schedule": []},
+        ("schedule: must be a non-empty list of finite numbers",),
+    ),
+    (
+        "schedule_list_entries",
+        {"schedule": [1.0, "a", 1.0]},
+        ("schedule: must be a non-empty list of finite numbers",),
+    ),
+    (
+        "schedule_list_single_weight",
+        {"schedule": [1.0], "params.substeps": 1},
+        ("schedule: a schedule needs at least C_0 and C_1 (substeps >= 1)",),
+    ),
+    (
+        "schedule_list_negative_weight",
+        {"schedule": [1.0, -1.0, 1.0]},
+        ("schedule: schedule weight C_1 must be positive, got -1.0",),
+    ),
+    (
+        "schedule_with_invalid_substeps",
+        {"schedule": "flat2", "params.substeps": 0},
+        ("params.substeps: must be >= 1, got 0",),
+    ),
+    # potential section
+    ("potential_missing", {"potential": _DROP}, ("potential: missing required section",)),
+    (
+        "potential_missing_sequential",
+        {"experiment": "sequential", "potential": _DROP},
+        ("potential: missing required section",),
+    ),
+    ("potential_missing_temperature", {"experiment": "temperature", "potential": _DROP}, ()),
+    ("potential_null", {"potential": None}, ("potential: missing required section",)),
+    ("potential_number", {"potential": 5}, ("potential: must be an object",)),
+    ("potential_unknown_field", {"potential.medium": 1.0}, ("potential.medium: unknown field",)),
+    (
+        "potential_fine_missing",
+        {"potential.fine": _DROP},
+        ("potential.fine: missing required field",),
+    ),
+    (
+        "potential_coarse_missing",
+        {"potential.coarse": _DROP},
+        ("potential.coarse: missing required field",),
+    ),
+    (
+        "potential_coarse_missing_sequential",
+        {"experiment": "sequential", "potential.coarse": _DROP},
+        (),
+    ),
+    (
+        "potential_fine_number",
+        {"potential.fine": 5},
+        ("potential.fine: must be an object with a 'kind' field",),
+    ),
+    (
+        "potential_fine_null",
+        {"potential.fine": None},
+        ("potential.fine: must be an object with a 'kind' field",),
+    ),
+    (
+        "potential_kind_unknown",
+        {"potential.fine.kind": "triple_well"},
+        ("potential.fine.kind: unknown potential kind 'triple_well'",),
+    ),
+    (
+        "potential_kind_missing",
+        {"potential.fine.kind": _DROP},
+        ("potential.fine.kind: unknown potential kind None",),
+    ),
+    (
+        "potential_kind_not_a_string",
+        {"potential.fine.kind": ["free"]},
+        ("potential.fine.kind: unknown potential kind ['free']",),
+    ),
+    (
+        "potential_unknown_spec_field",
+        {"potential.fine.c": 1.0},
+        ("potential.fine.c: unknown field",),
+    ),
+    (
+        "potential_unknown_spec_field_keeps_potential",
+        {"potential.fine": {"kind": "harmonic", "k": [1.0, 2.0], "c": 1.0}},
+        (
+            "potential.fine.c: unknown field",
+            "initial.q: dimension 1 does not match potential.fine dimension 2",
+        ),
+    ),
+    (
+        "potential_free_unknown_field",
+        {"potential.fine": {"kind": "free", "k": 1.0}},
+        ("potential.fine.k: unknown field",),
+    ),
+    (
+        "potential_cost_fine_string",
+        {"potential.cost_fine": "x"},
+        ("potential.cost_fine: must be a finite number, got 'x'",),
+    ),
+    (
+        "potential_cost_fine_null",
+        {"potential.cost_fine": None},
+        ("potential.cost_fine: must be a finite number, got None",),
+    ),
+    (
+        "potential_cost_fine_falls_back_to_default",
+        {"potential.cost_fine": "x", "potential.cost_coarse": 2.0},
+        (
+            "potential.cost_fine: must be a finite number, got 'x'",
+            "potential: cost_fine must be >= cost_coarse",
+        ),
+    ),
+    (
+        "potential_cost_coarse_zero",
+        {"potential.cost_coarse": 0},
+        ("potential: cost_coarse must be positive",),
+    ),
+    (
+        "potential_cost_fine_below_coarse",
+        {"potential.cost_fine": 0.5},
+        ("potential: cost_fine must be >= cost_coarse",),
+    ),
+    (
+        "potential_pair_dimensions",
+        {
+            "potential.fine": {"kind": "harmonic", "k": [1.0, 2.0]},
+            "potential.coarse": {"kind": "harmonic", "k": [1.0, 2.0, 3.0]},
+        },
+        (
+            "potential: fine and coarse potentials have incompatible dimensions",
+            "initial.q: dimension 1 does not match potential.fine dimension 2",
+            "initial.q: dimension 1 does not match potential.coarse dimension 3",
+        ),
+    ),
+    (
+        "potential_dimension_cross_check",
+        {
+            "potential.fine": {"kind": "harmonic", "k": [1.0, 2.0]},
+            "potential.coarse": {"kind": "harmonic", "k": [1.0, 1.5]},
+        },
+        (
+            "initial.q: dimension 1 does not match potential.fine dimension 2",
+            "initial.q: dimension 1 does not match potential.coarse dimension 2",
+        ),
+    ),
+    # potential kinds: value checks stay in the constructors
+    (
+        "harmonic_k_negative",
+        {"potential.fine": {"kind": "harmonic", "k": -1.0}},
+        ("potential.fine: k must be positive",),
+    ),
+    ("double_well_a_list", {"potential.fine": {"kind": "double_well", "a": [1.0], "b": 1.0}}, ()),
+    (
+        "double_well_dimensions",
+        {"potential.fine": {"kind": "double_well", "a": [1.0], "b": [1.0, 2.0]}},
+        ("potential.fine: a and b have inconsistent dimensions",),
+    ),
+    ("lennard_jones_pair", _LJ_PAIR, ()),
+    (
+        "lennard_jones_epsilon_negative",
+        {**_LJ_PAIR, "potential.fine.epsilon": -1.0},
+        ("potential.fine: epsilon must be positive",),
+    ),
+    (
+        "lennard_jones_one_atom",
+        {**_LJ_PAIR, "potential.fine.n_atoms": 1},
+        ("potential.fine: need at least 2 atoms",),
+    ),
+    (
+        "lennard_jones_space_dim_zero",
+        {**_LJ_PAIR, "potential.fine.space_dim": 0},
+        ("potential.fine: space_dim must be >= 1",),
+    ),
+    (
+        "lennard_jones_unknown_field",
+        {**_LJ_PAIR, "potential.fine.r_cut": 2.5},
+        ("potential.fine.r_cut: unknown field",),
+    ),
+    # potential kinds: the table checks each field's type
+    (
+        "harmonic_k_bool",
+        {"potential.fine": {"kind": "harmonic", "k": True}},
+        ("potential.fine.k: must be a finite number or a list of them, got True",),
+    ),
+    (
+        "harmonic_k_string",
+        {"potential.fine": {"kind": "harmonic", "k": "x"}},
+        ("potential.fine.k: must be a finite number or a list of them, got 'x'",),
+    ),
+    (
+        "harmonic_k_null",
+        {"potential.fine": {"kind": "harmonic", "k": None}},
+        ("potential.fine.k: must be a finite number or a list of them, got None",),
+    ),
+    (
+        "harmonic_k_empty_list",
+        {"potential.fine": {"kind": "harmonic", "k": []}},
+        ("potential.fine.k: must be a non-empty list of finite numbers",),
+    ),
+    (
+        "harmonic_k_nested_list",
+        {"potential.fine": {"kind": "harmonic", "k": [[1.0]]}},
+        ("potential.fine.k: must be a non-empty list of finite numbers",),
+    ),
+    (
+        "harmonic_k_list_entry",
+        {"potential.fine": {"kind": "harmonic", "k": [1.0, True]}},
+        ("potential.fine.k: must be a non-empty list of finite numbers",),
+    ),
+    (
+        "harmonic_k_infinite",
+        {"potential.fine": {"kind": "harmonic", "k": _INF}},
+        ("potential.fine.k: must be a finite number or a list of them, got inf",),
+    ),
+    (
+        "double_well_a_bool_b_string",
+        {"potential.fine.a": True, "potential.fine.b": "deep"},
+        (
+            "potential.fine.a: must be a finite number or a list of them, got True",
+            "potential.fine.b: must be a finite number or a list of them, got 'deep'",
+        ),
+    ),
+    (
+        "lennard_jones_epsilon_bool",
+        {**_LJ_PAIR, "potential.fine.epsilon": True},
+        ("potential.fine.epsilon: must be a finite number, got True",),
+    ),
+    (
+        "lennard_jones_sigma_string",
+        {**_LJ_PAIR, "potential.fine.sigma": "x"},
+        ("potential.fine.sigma: must be a finite number, got 'x'",),
+    ),
+    (
+        "lennard_jones_sigma_list",
+        {**_LJ_PAIR, "potential.fine.sigma": [1.0]},
+        ("potential.fine.sigma: must be a finite number, got [1.0]",),
+    ),
+    (
+        "lennard_jones_n_atoms_float",
+        {**_LJ_PAIR, "potential.fine.n_atoms": 2.5},
+        ("potential.fine.n_atoms: must be an integer, got 2.5",),
+    ),
+    (
+        "lennard_jones_space_dim_bool",
+        {**_LJ_PAIR, "potential.fine.space_dim": True},
+        ("potential.fine.space_dim: must be an integer, got True",),
+    ),
+    # initial
+    ("initial_missing", {"initial": _DROP}, ("initial: missing required section",)),
+    ("initial_missing_temperature", {"experiment": "temperature", "initial": _DROP}, ()),
+    ("initial_number", {"initial": 5}, ("initial: must be an object",)),
+    ("initial_unknown_field", {"initial.v": [0.0]}, ("initial.v: unknown field",)),
+    ("initial_q_missing", {"initial.q": _DROP}, ("initial.q: missing required field",)),
+    (
+        "initial_q_null",
+        {"initial.q": None},
+        ("initial.q: must be a non-empty list of finite numbers",),
+    ),
+    (
+        "initial_q_empty",
+        {"initial.q": []},
+        ("initial.q: must be a non-empty list of finite numbers",),
+    ),
+    (
+        "initial_q_entries",
+        {"initial.q": ["a"]},
+        ("initial.q: must be a non-empty list of finite numbers",),
+    ),
+    (
+        "initial_q_invalid_skips_p",
+        {"initial.q": "x", "initial.p": "y"},
+        ("initial.q: must be a non-empty list of finite numbers",),
+    ),
+    (
+        "initial_q_missing_skips_p",
+        {"initial.q": _DROP, "initial.p": "y"},
+        ("initial.q: missing required field",),
+    ),
+    (
+        "initial_p_string",
+        {"initial.p": "x"},
+        ("initial.p: must be a non-empty list of finite numbers",),
+    ),
+    ("initial_p_null", {"initial.p": None}, ()),
+    ("initial_p_length", {"initial.p": [0.0, 0.0]}, ("initial.p: has 2 components, q has 1",)),
+    (
+        "initial_p_invalid_skips_cross_checks",
+        {"initial.q": [1.0, 2.0], "initial.p": "x"},
+        ("initial.p: must be a non-empty list of finite numbers",),
+    ),
+    # parareal
+    (
+        "parareal_missing_adaptive",
+        {"parareal": _DROP},
+        (
+            "parareal.delta_conv: missing required field",
+            "parareal.delta_expl: missing required field",
+            "parareal.n_windows: missing required field",
+        ),
+    ),
+    (
+        "parareal_missing_sequential",
+        {"experiment": "sequential", "parareal": _DROP},
+        ("parareal.n_windows: missing required field",),
+    ),
+    (
+        "parareal_missing_ensemble",
+        {"experiment": "ensemble", "parareal": _DROP},
+        (
+            "parareal.delta_conv: missing required field",
+            "parareal.delta_expl: missing required field",
+        ),
+    ),
+    ("parareal_missing_temperature", {"experiment": "temperature", "parareal": _DROP}, ()),
+    ("parareal_number", {"parareal": 5}, ("parareal: must be an object",)),
+    ("parareal_unknown_field", {"parareal.k_min": 1}, ("parareal.k_min: unknown field",)),
+    (
+        "parareal_fields_missing",
+        {"parareal.n_windows": _DROP, "parareal.delta_conv": _DROP, "parareal.delta_expl": _DROP},
+        (
+            "parareal.n_windows: missing required field",
+            "parareal.delta_conv: missing required field",
+            "parareal.delta_expl: missing required field",
+        ),
+    ),
+    (
+        "parareal_delta_expl_optional_for_classic",
+        {"experiment": "parareal_classic", "parareal.delta_expl": _DROP},
+        (),
+    ),
+    (
+        "parareal_n_windows_zero",
+        {"parareal.n_windows": 0},
+        ("parareal.n_windows: must be >= 1, got 0",),
+    ),
+    (
+        "parareal_n_windows_float",
+        {"parareal.n_windows": 10.0},
+        ("parareal.n_windows: must be an integer, got 10.0",),
+    ),
+    ("parareal_k_max_zero", {"parareal.k_max": 0}, ("parareal.k_max: must be >= 1, got 0",)),
+    (
+        "parareal_k_max_null",
+        {"parareal.k_max": None},
+        ("parareal.k_max: must be an integer, got None",),
+    ),
+    (
+        "parareal_delta_conv_string",
+        {"parareal.delta_conv": "tight"},
+        ("parareal.delta_conv: must be a finite number, got 'tight'",),
+    ),
+    (
+        "parareal_delta_conv_zero",
+        {"parareal.delta_conv": 0.0},
+        ("parareal.delta_conv: must be positive, got 0.0",),
+    ),
+    (
+        "parareal_delta_expl_negative",
+        {"parareal.delta_expl": -1.0},
+        ("parareal.delta_expl: must be positive, got -1.0",),
+    ),
+    (
+        "parareal_delta_expl_not_above_conv",
+        {"parareal.delta_expl": 1e-09},
+        ("parareal.delta_expl: must exceed delta_conv: got 1e-09 <= 1e-08",),
+    ),
+    (
+        "parareal_positivity_after_type_checks",
+        {"parareal.n_windows": 0, "parareal.delta_conv": -1.0, "parareal.k_max": "x"},
+        (
+            "parareal.n_windows: must be >= 1, got 0",
+            "parareal.k_max: must be an integer, got 'x'",
+            "parareal.delta_conv: must be positive, got -1.0",
+        ),
+    ),
+    # sweep
+    (
+        "sweep_missing",
+        {"experiment": "gain_sweep", "sweep": _DROP},
+        ("sweep: missing required section",),
+    ),
+    ("sweep_number", {"experiment": "gain_sweep", "sweep": 5}, ("sweep: must be an object",)),
+    (
+        "sweep_unknown_field",
+        {"experiment": "gain_sweep", "sweep.gamma": [0.5]},
+        ("sweep.gamma: unknown field",),
+    ),
+    (
+        "sweep_grids_missing",
+        {
+            "experiment": "gain_sweep",
+            "sweep.dt": _DROP,
+            "sweep.delta_conv": _DROP,
+            "sweep.delta_expl": _DROP,
+        },
+        (
+            "sweep.dt: missing required grid",
+            "sweep.delta_conv: missing required grid",
+            "sweep.delta_expl: missing required grid",
+        ),
+    ),
+    (
+        "sweep_grid_empty",
+        {"experiment": "gain_sweep", "sweep.dt": []},
+        ("sweep.dt: must be a non-empty list of finite numbers",),
+    ),
+    (
+        "sweep_grid_null",
+        {"experiment": "gain_sweep", "sweep.delta_conv": None},
+        ("sweep.delta_conv: must be a non-empty list of finite numbers",),
+    ),
+    (
+        "sweep_dt_not_positive",
+        {"experiment": "gain_sweep", "sweep.dt": [0.05, 0.0, -1.0]},
+        ("sweep.dt[1]: must be positive, got 0.0", "sweep.dt[2]: must be positive, got -1.0"),
+    ),
+    (
+        "sweep_gamma_dt_too_large",
+        {"experiment": "gain_sweep", "sweep.dt": [0.05, 4.0]},
+        ("sweep.dt[1]: gamma * dt must stay below 2, got 2.0",),
+    ),
+    (
+        "sweep_gamma_dt_without_params",
+        {"experiment": "gain_sweep", "sweep.dt": [0.05, 4.0], "params.gamma": "x"},
+        ("params.gamma: must be a finite number, got 'x'",),
+    ),
+    (
+        "sweep_deltas_not_positive",
+        {
+            "experiment": "gain_sweep",
+            "sweep.delta_conv": [-1e-08, 1e-08],
+            "sweep.delta_expl": [0.0, 0.35],
+        },
+        (
+            "sweep.delta_conv[0]: must be positive, got -1e-08",
+            "sweep.delta_expl[0]: must be positive, got 0.0",
+            "sweep.delta_expl: every value must exceed every delta_conv: got 0.0 <= 1e-08",
+        ),
+    ),
+    (
+        "sweep_thresholds_ordered",
+        {"experiment": "gain_sweep", "sweep.delta_conv": [1e-08, 0.4]},
+        ("sweep.delta_expl: every value must exceed every delta_conv: got 0.35 <= 0.4",),
+    ),
+    (
+        "sweep_checked_when_present",
+        {"sweep": {"dt": []}},
+        (
+            "sweep.dt: must be a non-empty list of finite numbers",
+            "sweep.delta_conv: missing required grid",
+            "sweep.delta_expl: missing required grid",
+        ),
+    ),
+    # ensemble
+    (
+        "ensemble_missing",
+        {"experiment": "ensemble", "ensemble": _DROP},
+        ("ensemble: missing required section",),
+    ),
+    (
+        "ensemble_number",
+        {"experiment": "ensemble", "ensemble": 5},
+        ("ensemble: must be an object",),
+    ),
+    (
+        "ensemble_unknown_field",
+        {"experiment": "ensemble", "ensemble.members": 3},
+        ("ensemble.members: unknown field",),
+    ),
+    (
+        "ensemble_fields_missing",
+        {
+            "experiment": "ensemble",
+            "ensemble.size": _DROP,
+            "ensemble.segment_windows": _DROP,
+            "ensemble.basin_starts": _DROP,
+        },
+        (
+            "ensemble.size: missing required field",
+            "ensemble.segment_windows: missing required field",
+            "ensemble.basin_starts: must be a non-empty list of position lists",
+        ),
+    ),
+    (
+        "ensemble_size_one",
+        {"experiment": "ensemble", "ensemble.size": 1},
+        ("ensemble.size: must be >= 2, got 1",),
+    ),
+    (
+        "ensemble_size_bool",
+        {"experiment": "ensemble", "ensemble.size": True},
+        ("ensemble.size: must be an integer, got True",),
+    ),
+    (
+        "ensemble_segment_zero",
+        {"experiment": "ensemble", "ensemble.segment_windows": 0},
+        ("ensemble.segment_windows: must be >= 1, got 0",),
+    ),
+    (
+        "ensemble_optional_ints_invalid",
+        {
+            "experiment": "ensemble",
+            "ensemble.thermalization_windows": -1,
+            "ensemble.min_run": 0,
+            "ensemble.histogram_bin_width": 2.5,
+        },
+        (
+            "ensemble.thermalization_windows: must be >= 0, got -1",
+            "ensemble.min_run: must be >= 1, got 0",
+            "ensemble.histogram_bin_width: must be an integer, got 2.5",
+        ),
+    ),
+    (
+        "ensemble_basin_starts_empty",
+        {"experiment": "ensemble", "ensemble.basin_starts": []},
+        ("ensemble.basin_starts: must be a non-empty list of position lists",),
+    ),
+    (
+        "ensemble_basin_starts_null",
+        {"experiment": "ensemble", "ensemble.basin_starts": None},
+        ("ensemble.basin_starts: must be a non-empty list of position lists",),
+    ),
+    (
+        "ensemble_basin_starts_entry",
+        {"experiment": "ensemble", "ensemble.basin_starts": [[-1.0], "x", []]},
+        (
+            "ensemble.basin_starts[1]: must be a non-empty list of finite numbers",
+            "ensemble.basin_starts[2]: must be a non-empty list of finite numbers",
+        ),
+    ),
+    (
+        "ensemble_basin_starts_inconsistent",
+        {"experiment": "ensemble", "ensemble.basin_starts": [[-1.0], [1.0, 0.0]]},
+        ("ensemble.basin_starts: entries have inconsistent dimensions",),
+    ),
+    (
+        "ensemble_basin_starts_dimension",
+        {"experiment": "ensemble", "ensemble.basin_starts": [[-1.0, 0.0], [1.0, 0.0]]},
+        ("ensemble.basin_starts: entries must have dimension 1",),
+    ),
+    (
+        "ensemble_basin_starts_checked_after_ints",
+        {"experiment": "ensemble", "ensemble.size": 0, "ensemble.basin_starts": []},
+        (
+            "ensemble.size: must be >= 2, got 0",
+            "ensemble.basin_starts: must be a non-empty list of position lists",
+        ),
+    ),
+    # temperature
+    (
+        "temperature_missing",
+        {"experiment": "temperature", "temperature": _DROP},
+        ("temperature: missing required section",),
+    ),
+    (
+        "temperature_number",
+        {"experiment": "temperature", "temperature": 5},
+        ("temperature: must be an object",),
+    ),
+    (
+        "temperature_unknown_field",
+        {"experiment": "temperature", "temperature.thermostat": "bbk"},
+        ("temperature.thermostat: unknown field",),
+    ),
+    (
+        "temperature_n_windows_missing",
+        {"experiment": "temperature", "temperature.n_windows": _DROP},
+        ("temperature.n_windows: missing required field",),
+    ),
+    (
+        "temperature_n_windows_zero",
+        {"experiment": "temperature", "temperature.n_windows": 0},
+        ("temperature.n_windows: must be >= 1, got 0",),
+    ),
+    (
+        "temperature_dimension_zero",
+        {"experiment": "temperature", "temperature.dimension": 0},
+        ("temperature.dimension: must be >= 1, got 0",),
+    ),
+    (
+        "temperature_burn_in_string",
+        {"experiment": "temperature", "temperature.burn_in": "x"},
+        ("temperature.burn_in: must be a finite number, got 'x'",),
+    ),
+    (
+        "temperature_burn_in_one",
+        {"experiment": "temperature", "temperature.burn_in": 1.0},
+        ("temperature.burn_in: must lie in [0, 1), got 1.0",),
+    ),
+    (
+        "temperature_burn_in_negative",
+        {"experiment": "temperature", "temperature.burn_in": -0.1},
+        ("temperature.burn_in: must lie in [0, 1), got -0.1",),
+    ),
+    (
+        "temperature_sampling_unknown",
+        {"experiment": "temperature", "temperature.sampling": "sometimes"},
+        ("temperature.sampling: must be 'all_substeps' or 'window_ends', got 'sometimes'",),
+    ),
+    (
+        "temperature_sampling_null",
+        {"experiment": "temperature", "temperature.sampling": None},
+        ("temperature.sampling: must be 'all_substeps' or 'window_ends', got None",),
+    ),
+    (
+        "temperature_burn_in_before_sampling",
+        {"experiment": "temperature", "temperature.burn_in": 1.5, "temperature.sampling": "x"},
+        (
+            "temperature.burn_in: must lie in [0, 1), got 1.5",
+            "temperature.sampling: must be 'all_substeps' or 'window_ends', got 'x'",
+        ),
+    ),
+    (
+        "temperature_dimension_vs_mass",
+        {"experiment": "temperature", "params.mass": [1.0, 1.0]},
+        (
+            "params.mass: has 2 components, initial.q has 1",
+            "temperature.dimension: is 3, params.mass has 2 components",
+        ),
+    ),
+    # several sections at once: every error, in section order
+    (
+        "every_error_in_section_order",
+        {
+            "master_seed": _DROP,
+            "params.gamma": "fast",
+            "potential.fine.kind": "triple_well",
+            "parareal.n_windows": 0,
+            "zzz": 1,
+            "output_dir": 1,
+        },
+        (
+            "zzz: unknown field",
+            "master_seed: missing required field (an integer in [0, 2^64))",
+            "params.gamma: must be a finite number, got 'fast'",
+            "potential.fine.kind: unknown potential kind 'triple_well'",
+            "parareal.n_windows: must be >= 1, got 0",
+            "output_dir: must be a string path, got 1",
+        ),
+    ),
+]
+
+
+class TestMessageTable:
+    @pytest.mark.parametrize(
+        "changes, expected", [pytest.param(c, e, id=i) for i, c, e in _MESSAGE_TABLE]
+    )
+    def test_messages(self, tmp_path, changes, expected):
+        path = _write(tmp_path, _changed_config(changes))
+        try:
+            validate_config(path)
+        except ConfigError as exc:
+            assert exc.errors == expected
+        else:
+            assert expected == ()
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (None, "{path}: [Errno 2] No such file or directory: '{path}'"),
+            ("[1, 2]", "{path}: top level must be a JSON object"),
+            ('{\n  "experiment": oops\n}', "{path}:2:17: Expecting value"),
+        ],
+        ids=["file_missing", "file_not_an_object", "file_not_json"],
+    )
+    def test_file_messages(self, tmp_path, text, expected):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        assert _errors_of(path) == (expected.format(path=path),)
+
+    def test_absent_fields_take_their_defaults(self, tmp_path):
+        changes = {
+            "experiment": "ensemble",
+            "params.substeps": _DROP,
+            "schedule": "flat2",
+            "potential.cost_fine": _DROP,
+            "potential.cost_coarse": _DROP,
+        }
+        cfg = validate_config(_write(tmp_path, _changed_config(changes), "ensemble.json"))
+        assert (cfg.params.substeps, cfg.params.mass) == (1, None)
+        assert (cfg.cost_fine, cfg.cost_coarse) == (1.0, 1.0)
+        assert cfg.initial.p.tolist() == [0.0]
+        assert cfg.k_max is None
+        spec = cfg.ensemble
+        assert (spec.thermalization_windows, spec.min_run, spec.histogram_bin_width) == (0, 1, 50)
+
+        changes = {"experiment": "temperature", "temperature.dimension": _DROP}
+        cfg = validate_config(_write(tmp_path, _changed_config(changes), "temperature.json"))
+        assert cfg.temperature == TemperatureSpec(
+            n_windows=10, dimension=1, burn_in=0.1, sampling="all_substeps"
+        )
+
+        wells = {"kind": "harmonic"}, {"kind": "double_well"}
+        changes = {"potential.fine": wells[0], "potential.coarse": wells[1]}
+        cfg = validate_config(_write(tmp_path, _changed_config(changes), "wells.json"))
+        assert (cfg.fine.k, cfg.coarse.a, cfg.coarse.b) == (1.0, 1.0, 1.0)
+
+        cluster = {"kind": "lennard_jones"}
+        changes = {"potential.fine": cluster, "potential.coarse": cluster, "initial.q": [0.0] * 14}
+        cfg = validate_config(_write(tmp_path, _changed_config(changes), "cluster.json"))
+        assert (cfg.fine.epsilon, cfg.fine.sigma, cfg.fine.n_atoms, cfg.fine.space_dim) == (
+            1.0,
+            1.0,
+            7,
+            2,
+        )
+
+
 class TestExitCodes:
     def test_validate_subcommand_ok(self, capsys):
         code = main(["validate", "--config", str(CONFIG_DIR / "adaptive.json")])
@@ -258,11 +1164,12 @@ class TestExitCodes:
     ):
         seen = []
 
-        def runner(cfg, out_dir, workers, outputs):
+        def runner(cfg, out_dir, outputs):
             seen.append(json.loads((out_dir / "manifest.json").read_text())["status"])
             raise exc_type("stopped in the runner")
 
-        monkeypatch.setitem(cli._RUNNERS, "sequential", runner)
+        row = cli.EXPERIMENTS["sequential"]._replace(run=runner)
+        monkeypatch.setitem(cli.EXPERIMENTS, "sequential", row)
         out = tmp_path / "out"
         path = _write(tmp_path, json.loads((CONFIG_DIR / "sequential.json").read_text()))
         with pytest.raises(exc_type, match="stopped in the runner"):
