@@ -57,7 +57,6 @@ from .analysis import (
 from .accounting import (
     GAIN_CSV_HEADER,
     GainReport,
-    UndefinedGainError,
     adaptive_cost,
     adaptive_gain,
     classic_gain,

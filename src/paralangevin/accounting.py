@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -30,10 +30,6 @@ from .model import atomic_open
 from .parareal import SlabRecord
 
 GAIN_CSV_HEADER = ("dt", "delta_expl", "delta_conv", "gain_ideal", "gain", "n_slab")
-
-
-class UndefinedGainError(ValueError):
-    """No parareal iterations were performed, so no gain is defined."""
 
 
 @dataclass(frozen=True)
@@ -101,24 +97,19 @@ def _check_tiling(slabs: Sequence[SlabRecord], n_windows: int) -> None:
 
 
 def classic_gain(n_windows: int, k_conv: int, cf: float, cc: float) -> GainReport:
-    """Gain report for a classic run that converged in ``k_conv`` iterations."""
+    """Gain report for a classic run that converged in ``k_conv`` iterations.
+
+    Its wall-clock cost is the adaptive cost of one slab over the whole
+    range, converged at its first attempt.
+    """
     if n_windows < 1:
         raise ValueError(f"n_windows must be >= 1, got {n_windows}")
     if k_conv < 1:
         raise ValueError(f"k_conv must be >= 1, got {k_conv}")
-    _check_costs(cf, cc)
-    cost = n_windows * cc + k_conv * ((cf + cc) + n_windows * cc)
+    slab = SlabRecord(1, 0, ((n_windows, k_conv),), n_windows, k_conv)
+    report = adaptive_gain([slab], n_windows, cf, cc)
     effort = n_windows * cc + k_conv * (n_windows * (cf + cc) + 2 * n_windows * cc)
-    sequential = n_windows * cf
-    return GainReport(
-        total_cost=cost,
-        sequential_cost=sequential,
-        gain=sequential / cost,
-        ideal_gain=n_windows / k_conv,
-        n_slab=1,
-        total_iterations=k_conv,
-        total_effort=effort,
-    )
+    return replace(report, total_effort=effort)
 
 
 def adaptive_cost(
@@ -145,10 +136,6 @@ def adaptive_gain(
     """Gain report for an adaptive run described by its slab records."""
     cost = adaptive_cost(slabs, n_windows, cf, cc)
     total_iterations = sum(slab.k_conv for slab in slabs)
-    if total_iterations == 0:
-        # unreachable through validated records (every slab iterates at
-        # least once), kept as a guard for hand-built inputs
-        raise UndefinedGainError("no iterations were performed")
     sequential = n_windows * cf
     return GainReport(
         total_cost=cost,

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 # Not used here: perfbench's tracer patches ``cli.ThreadPoolExecutor``.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -185,7 +184,9 @@ def _err(errors: list[str], path: str, message: str) -> None:
 
 
 def _finite(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return abs(value) <= sys.float_info.max  # an int is compared exactly, never converted
 
 
 def _build(cls: type, values: Mapping[str, Any], path: str, errors: list[str]) -> Any:
@@ -508,6 +509,10 @@ def _cross_checks(fields: dict[str, Any], errors: list[str]) -> None:
             "temperature.dimension",
             f"is {temperature.dimension}, params.mass has {mass.shape[0]} components",
         )
+    fine_dim = None if fields["fine"] is None else fields["fine"].dimension
+    if temperature is not None and fine_dim not in (None, temperature.dimension):
+        message = f"is {temperature.dimension}, potential.fine has dimension {fine_dim}"
+        _err(errors, "temperature.dimension", message)
 
 
 def _build_config(raw: Mapping[str, Any]) -> tuple[ExperimentConfig | None, list[str]]:
@@ -561,6 +566,14 @@ def _build_config(raw: Mapping[str, Any]) -> tuple[ExperimentConfig | None, list
     return ExperimentConfig(**fields, output_dir=output_dir, raw=dict(raw)), []
 
 
+def _parse_int(text: str) -> int | float:
+    # past int()'s digit limit, the float (infinite), which the field's check reports
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def load_raw_config(path: str | Path) -> dict[str, Any]:
     """Parse the JSON config file; parse errors carry line and column."""
     path = Path(path)
@@ -569,7 +582,7 @@ def load_raw_config(path: str | Path) -> dict[str, Any]:
     except OSError as exc:
         raise ConfigError([f"{path}: {exc}"]) from exc
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"]) from exc
     if not isinstance(raw, dict):

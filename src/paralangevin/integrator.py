@@ -41,7 +41,7 @@ from .rng import NoisePlan, derive_seeds, gaussian_stream, gaussian_streams
 #: any component beyond this magnitude aborts the window as a blow-up
 BLOWUP_LIMIT = 1e12
 
-#: rows of Gaussian streams generated per call inside a free-particle chunk
+#: rows of Gaussian streams generated per call in a kinetic-temperature run
 _NOISE_BLOCK_ROWS = 256
 
 #: parareal iterations in flight on the array path, at most; the engine
@@ -431,12 +431,23 @@ def _accumulate_variance(s1, s2, count, mass):
     return float(np.mean(var / mass))
 
 
-def _measure_chain(pot, params, schedule, n_windows, master_seed, n_burn, d, mass):
-    _check_substeps(params, schedule)
-    q = p = np.zeros(d)
+def _window_noise(master_seed, n_windows, count, chunk):
+    """Yield ``(n0, rows)``: the streams of windows ``n0 + 1 ..``, ``chunk`` rows at a time,
+    each chunk filled :data:`_NOISE_BLOCK_ROWS` rows per call to keep the generator's
+    temporaries small.  A row depends only on its seed, never on the blocking."""
     seeds = derive_seeds(master_seed, n_windows)
+    for n0 in range(0, n_windows, chunk):
+        n1 = min(n0 + chunk, n_windows)
+        noise = np.empty((n1 - n0, count))
+        for b0 in range(n0, n1, _NOISE_BLOCK_ROWS):
+            b1 = min(b0 + _NOISE_BLOCK_ROWS, n1)
+            noise[b0 - n0 : b1 - n0] = gaussian_streams(seeds[b0:b1], count)
+        yield n0, noise
+
+
+def _measure_chain(pot, params, amps, n_windows, master_seed, n_burn, d, mass):
+    q = p = np.zeros(d)
     n_sub = params.substeps
-    amps = _amplitudes(params, schedule, np.sqrt(mass))
     s1 = np.zeros((n_sub, d))
     s2 = np.zeros((n_sub, d))
     count = 0
@@ -446,39 +457,33 @@ def _measure_chain(pot, params, schedule, n_windows, master_seed, n_burn, d, mas
         _check_bounded(q, p, substep)
         momenta[substep - 1] = p
 
-    for n in range(n_windows):
-        noise = gaussian_stream(int(seeds[n]), (n_sub + 1) * d).reshape(-1, d)
-        q, p = _window_kernel(
-            q, p, pot.gradient, params.gamma, params.dt, mass, amps, noise, record
-        )
-        if n >= n_burn:
-            s1 += momenta
-            s2 += momenta * momenta
-            count += 1
+    for n0, noise in _window_noise(master_seed, n_windows, (n_sub + 1) * d, _NOISE_BLOCK_ROWS):
+        for n, window in enumerate(noise.reshape(-1, n_sub + 1, d), start=n0):
+            q, p = _window_kernel(
+                q, p, pot.gradient, params.gamma, params.dt, mass, amps, window, record
+            )
+            if n >= n_burn:
+                s1 += momenta
+                s2 += momenta * momenta
+                count += 1
     return s1, s2, count
 
 
-def _measure_free(params, schedule, n_windows, master_seed, n_burn, d, mass):
+def _measure_free(params, amps, n_windows, master_seed, n_burn, d):
     """Variance moments for the free potential without stepping window by window.
 
     For V = 0 the momentum recursion inside a window is linear with constant
     coefficients, so a window maps its start momentum to
     ``p_L = a p_0 + (noise combination)`` with ``a = mu^2 r^(L-1)`` and
     ``r = 1 - gamma dt``.  The chain over windows is then a first-order
-    linear filter that scipy evaluates in one pass, and the interior momenta
-    are reconstructed from the filtered window starts.  Output agrees with
-    the window-by-window chain up to roundoff.
+    linear recursion over the window ends, and the interior momenta are
+    reconstructed from its window starts.  Output agrees with the
+    window-by-window chain up to roundoff.
     """
-    from scipy.signal import lfilter  # costs about 1 s and 75 MB, so only here
-
     n_sub = params.substeps
-    coeffs = AnalyticCoefficients.from_params(params)
-    mu = coeffs.mu
+    mu = AnalyticCoefficients.from_params(params).mu
     r = 1.0 - params.gamma * params.dt
-    sqrt_m = np.sqrt(mass)
-    amp = np.array(
-        [_amplitude(params, c) for c in schedule.coefficients]
-    )[:, None] * sqrt_m[None, :]
+    amp = np.array(amps)
     # weight of amplitude-scaled block j inside the window-end map
     wcoef = np.empty(n_sub + 1)
     wcoef[0] = mu * r ** (n_sub - 1)
@@ -490,23 +495,17 @@ def _measure_free(params, schedule, n_windows, master_seed, n_burn, d, mass):
     s1 = np.zeros((n_sub, d))
     s2 = np.zeros((n_sub, d))
     count = 0
+    # the chunk is the summation unit, so its size is part of the result
     chunk = max(1, int(4_194_304 // ((n_sub + 1) * d)))
-    p_end = np.zeros(d)
-    zi = (a * p_end)[None, :]
-    seeds = derive_seeds(master_seed, n_windows)
-    for n0 in range(0, n_windows, chunk):
-        n1 = min(n0 + chunk, n_windows)
-        # row blocks keep the generator's temporaries small; a row depends
-        # only on its seed, and the chunk (the summation unit) is unchanged
-        noise = np.empty((n1 - n0, (n_sub + 1) * d))
-        for b0 in range(n0, n1, _NOISE_BLOCK_ROWS):
-            b1 = min(b0 + _NOISE_BLOCK_ROWS, n1)
-            noise[b0 - n0 : b1 - n0] = gaussian_streams(seeds[b0:b1], (n_sub + 1) * d)
-        noise = noise.reshape(-1, n_sub + 1, d)
-        scaled = noise * amp[None, :, :]
+    z = p_end = np.zeros(d)
+    for n0, noise in _window_noise(master_seed, n_windows, (n_sub + 1) * d, chunk):
+        scaled = noise.reshape(-1, n_sub + 1, d) * amp[None, :, :]
+        # window-end momenta: p_L[i] = w[i] + a p_L[i - 1], in place
         w = np.einsum("j,bjd->bd", wcoef, scaled)
-        p_l_series, zi = lfilter([1.0], [1.0, -a], w, axis=0, zi=zi)
-        p0 = np.vstack([p_end[None, :], p_l_series[:-1]])
+        for row in w:
+            row += z
+            z = a * row
+        p0 = np.vstack([p_end[None, :], w[:-1]])
         lo = max(0, n_burn - n0)
         h = mu * p0 + scaled[:, 0, :]
         for l in range(1, n_sub + 1):
@@ -516,8 +515,8 @@ def _measure_free(params, schedule, n_windows, master_seed, n_burn, d, mass):
                 s2[l - 1] += (p_l[lo:] * p_l[lo:]).sum(axis=0)
             if l < n_sub:
                 h = r * h + 2.0 * scaled[:, l, :]
-        count += max(0, (n1 - n0) - lo)
-        p_end = p_l_series[-1]
+        count += max(0, w.shape[0] - lo)
+        p_end = w[-1]
         _check_bounded(p_end, p_end, substep=n_sub)
     return s1, s2, count
 
@@ -548,16 +547,14 @@ def measure_kinetic_temperature(
     n_burn = int(round(burn_in * n_windows))
     if n_burn >= n_windows:
         n_burn = n_windows - 1
+    _check_substeps(params, schedule)
     d = params.mass.shape[0] if params.mass is not None else 1
     mass = params.mass_vector(d)
+    amps = _amplitudes(params, schedule, np.sqrt(mass))
     if isinstance(pot, Free):
-        s1, s2, count = _measure_free(
-            params, schedule, n_windows, master_seed, n_burn, d, mass
-        )
+        s1, s2, count = _measure_free(params, amps, n_windows, master_seed, n_burn, d)
     else:
-        s1, s2, count = _measure_chain(
-            pot, params, schedule, n_windows, master_seed, n_burn, d, mass
-        )
+        s1, s2, count = _measure_chain(pot, params, amps, n_windows, master_seed, n_burn, d, mass)
     per_substep = tuple(
         _accumulate_variance(s1[l], s2[l], count, mass) for l in range(params.substeps)
     )

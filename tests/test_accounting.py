@@ -118,7 +118,9 @@ class TestAdaptiveCost:
         _, n = drawn
         k = 3
         slabs = [_slab(1, 0, [(n, k)], n)]
-        assert adaptive_cost(slabs, n, cf, cc) == classic_gain(n, k, cf, cc).total_cost
+        # the classic formula of the module docstring, which classic_gain reports
+        assert adaptive_cost(slabs, n, cf, cc) == n * cc + k * ((cf + cc) + n * cc)
+        assert classic_gain(n, k, cf, cc).total_cost == adaptive_cost(slabs, n, cf, cc)
 
     def test_tiling_validation(self):
         good = [_slab(1, 0, [(10, 1)], 10)]

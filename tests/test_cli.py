@@ -303,6 +303,11 @@ _MESSAGE_TABLE = [
         ("params.gamma: must be a finite number, got inf",),
     ),
     (
+        "params_gamma_beyond_float_range",
+        {"params.gamma": 10**400},
+        (f"params.gamma: must be a finite number, got {10**400}",),
+    ),
+    (
         "params_substeps_float",
         {"params.substeps": 2.0},
         ("params.substeps: must be an integer, got 2.0",),
@@ -993,6 +998,16 @@ _MESSAGE_TABLE = [
             "temperature.dimension: is 3, params.mass has 2 components",
         ),
     ),
+    (
+        "temperature_dimension_vs_potential",
+        {
+            "experiment": "temperature",
+            "initial": _DROP,
+            "potential.fine": {"kind": "double_well", "a": [1.0, 1.2], "b": 1.0},
+            "temperature.dimension": 1,
+        },
+        ("temperature.dimension: is 1, potential.fine has dimension 2",),
+    ),
     # several sections at once: every error, in section order
     (
         "every_error_in_section_order",
@@ -1035,8 +1050,13 @@ class TestMessageTable:
             (None, "{path}: [Errno 2] No such file or directory: '{path}'"),
             ("[1, 2]", "{path}: top level must be a JSON object"),
             ('{\n  "experiment": oops\n}', "{path}:2:17: Expecting value"),
+            # past the digit limit of int(), which json.loads uses for integers
+            (
+                json.dumps(_base_config()).replace('"gamma": 0.5', '"gamma": ' + "9" * 5000),
+                "params.gamma: must be a finite number, got inf",
+            ),
         ],
-        ids=["file_missing", "file_not_an_object", "file_not_json"],
+        ids=["file_missing", "file_not_an_object", "file_not_json", "file_integer_too_long"],
     )
     def test_file_messages(self, tmp_path, text, expected):
         path = tmp_path / "config.json"
@@ -1198,18 +1218,31 @@ class TestExitCodes:
 
     def test_module_run_has_no_runpy_warning(self):
         """`python -m paralangevin.cli` must not find `cli` imported by the package."""
-        package_root = str(Path(paralangevin.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "paralangevin.cli", "validate",
              "--config", str(CONFIG_DIR / "adaptive.json")],
             capture_output=True,
             text=True,
-            env=env,
+            env=_package_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+
+    def test_temperature_run_imports_no_scipy(self, tmp_path):
+        """numpy is the only runtime dependency: a `temperature` run loads no scipy module."""
+        config = json.loads((CONFIG_DIR / "temperature.json").read_text())
+        config["temperature"]["n_windows"] = 100
+        path = _write(tmp_path, config)
+        code = (
+            "import sys; from paralangevin.cli import main; "
+            f"code = main(['temperature', '--config', {str(path)!r}, '--out', {str(tmp_path / 'out')!r}]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); sys.exit(code)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=_package_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def _console_command() -> tuple[list[str], dict[str, str] | None]:
@@ -1227,10 +1260,15 @@ def _console_command() -> tuple[list[str], dict[str, str] | None]:
         entry = tomllib.load(fh)["project"]["scripts"]["paralangevin"]
     module, func = entry.split(":")
     code = f"import sys; from {module} import {func}; sys.exit({func}())"
+    return [sys.executable, "-c", code], _package_env()
+
+
+def _package_env() -> dict[str, str]:
+    """This environment with the tested package's root first on PYTHONPATH."""
     package_root = str(Path(paralangevin.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    return [sys.executable, "-c", code], env
+    return env
 
 
 def _run(tmp_path, config, command, out_name, *extra):

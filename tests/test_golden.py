@@ -87,6 +87,19 @@ def _temperature() -> dict:
     return cfg
 
 
+def _temperature_chain() -> dict:
+    """Kinetic temperature on a 2-D DoubleWell, 4,000 windows: the chain that
+    steps window by window (the free particle takes a closed form instead)."""
+    return {
+        "experiment": "temperature",
+        "master_seed": 29,
+        "params": {"gamma": 0.5, "inv_beta": 0.4, "dt": 0.05, "substeps": 3},
+        "schedule": "robust",
+        "potential": {"fine": {"kind": "double_well", "a": [1.0, 1.2], "b": [1.0, 1.1]}},
+        "temperature": {"n_windows": 4_000, "dimension": 2, "burn_in": 0.1},
+    }
+
+
 def _classic_lj7() -> dict:
     """Classic parareal on a 2-D LJ-7 cluster, 40 windows."""
     lj = {"kind": "lennard_jones", "epsilon": 1.0, "n_atoms": 7, "space_dim": 2}
@@ -114,6 +127,7 @@ CASES = {
     "sequential": ("sequential", lambda: _shipped("sequential.json")),
     "sweep": ("sweep", _sweep),
     "temperature": ("temperature", _temperature),
+    "temperature-chain": ("temperature", _temperature_chain),
     "classic-lj7": ("parareal", _classic_lj7),
 }
 
@@ -155,6 +169,9 @@ GOLDEN = {
         # re-recorded when k_eq_predicted became 1/beta for the robust
         # schedule (285.0 -> 300.0); every other byte is unchanged
         "result.json": "8907d3445dcc02caf732d04625c640c54a87f08d7f080df7834a8ee8358bb068",
+    },
+    "temperature-chain": {
+        "result.json": "213b14aa3baa4b9f9da43c9c1608446913acafed702aed3508d7c741669f507d",
     },
 }
 

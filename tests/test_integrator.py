@@ -589,6 +589,12 @@ class TestMeasureKineticTemperature:
         with pytest.raises(ValueError, match="n_windows"):
             measure_kinetic_temperature(Free(), params, sched, 0, 1)
 
+    @pytest.mark.parametrize("pot", [Free(), Harmonic(k=1.0)], ids=["free", "chain"])
+    def test_schedule_must_match_substeps(self, pot):
+        params = LangevinParams(gamma=0.5, inv_beta=1.0, dt=0.05, substeps=2)
+        with pytest.raises(ValueError, match="schedule has 3 substeps, params have 2"):
+            measure_kinetic_temperature(pot, params, TemperatureSchedule.identity(3), 10, 1)
+
 
 # ---------------------------------------------------------------------------
 # deterministic limit and blow-up handling
