@@ -217,12 +217,20 @@ def _fraction(value: Any, path: str, errors: list[str], field: _Field) -> float 
     return value
 
 
+#: the largest integer any config field takes: every integer up to it is a
+#: float exactly, and no count the runs derive from it overflows a float
+_MAX_INT = 2**53
+
+
 def _int(value: Any, path: str, errors: list[str], field: _Field) -> int | None:
     if not isinstance(value, int) or isinstance(value, bool):
         _err(errors, path, f"must be an integer, got {value!r}")
         return None
     if field.minimum is not None and value < field.minimum:
         _err(errors, path, f"must be >= {field.minimum}, got {value}")
+        return None
+    if value > _MAX_INT:
+        _err(errors, path, f"must be <= {_MAX_INT}, got {value}")
         return None
     return value
 

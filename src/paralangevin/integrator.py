@@ -191,11 +191,6 @@ def _check_bounded(q: np.ndarray, p: np.ndarray, substep: int) -> None:
         raise _blow_up(substep)
 
 
-def _check_bounded_float(q: float, p: float, substep: int) -> None:
-    if not (abs(q) <= BLOWUP_LIMIT and abs(p) <= BLOWUP_LIMIT):
-        raise _blow_up(substep)
-
-
 def _check_substeps(params: LangevinParams, schedule: TemperatureSchedule) -> None:
     if schedule.substeps != params.substeps:
         raise ValueError(
@@ -212,7 +207,7 @@ def _step_kernel(q, p, p_half_prev, grad_q, grad_fn, gamma, dt, mass, amp_l, amp
 
 
 def _window_kernel(q, p, grad_fn, gamma, dt, mass, amps, noise, after_substep):
-    """Advance one window; ``q`` and ``p`` are floats, ``(d,)`` rows or ``(B, d)`` rows.
+    """Advance one window; ``q`` and ``p`` are ``(d,)`` rows or ``(B, d)`` rows.
 
     ``amps[l]`` and ``noise[l]`` are the amplitude and Gaussian block ``l``
     (``noise[l]`` is ``(B, d)`` for stacked rows).  Every operation is
@@ -270,7 +265,12 @@ class PlanWindows:
     :meth:`one` advances one window on that lean serial path; :meth:`rows`
     advances any set of windows in one batched kernel call.  Both are
     bitwise equal to :func:`propagate_window` with the plan's seed, and the
-    noise comes from the plan's cache (:meth:`NoisePlan.noise`).
+    noise comes from the plan's cache (:meth:`NoisePlan.noise`).  On floats
+    :meth:`one` is the kernel written out in one frame, with the half-step
+    factors and the amplitude-scaled noise formed once per plan: a
+    double-well window of 2 substeps costs about 1.0 us in process, against
+    1.9 us through the kernel's per-substep calls (2-vCPU host,
+    BENCH_5.json).
 
     ``depth`` is how many parareal iterations the engine may keep in flight
     on these windows, 1 on the float path and :data:`_WAVE_DEPTH` on the
@@ -301,13 +301,19 @@ class PlanWindows:
         if scalar:
             self._mass = float(mass[0])
             self._amps = [float(a[0]) for a in amps]
-            self._blocks = self._noise[:, :, 0].tolist()
-            self._check = _check_bounded_float
+            # the float window's constants, as the array kernel forms them:
+            # 0.5 * dt * x is (0.5 * dt) * x, and amps[l] * g[l] is one
+            # multiply whether numpy makes it here or Python per substep
+            half_dt = 0.5 * self._dt
+            self._float_window = (
+                self._grad, self._dt, self._mass, half_dt, half_dt * self._gamma,
+                -BLOWUP_LIMIT, BLOWUP_LIMIT,
+            )
+            self._substeps = range(1, params.substeps + 1)
+            self._kicks = (self._noise[:, :, 0] * np.array(self._amps)).tolist()
         else:
             self._mass = mass
             self._amps = amps
-            self._blocks = self._noise
-            self._check = _check_bounded
 
     @classmethod
     def for_potentials(cls, pots, params, schedule, plan, initial) -> list["PlanWindows"]:
@@ -324,10 +330,27 @@ class PlanWindows:
 
     def one(self, q, p, m: int):
         """Window ``m`` (0-based) from raw ``(q, p)``; raises at the first bad substep."""
-        return _window_kernel(
-            q, p, self._grad, self._gamma, self._dt, self._mass, self._amps,
-            self._blocks[m], self._check,
-        )
+        if not self.scalar:
+            return _window_kernel(
+                q, p, self._grad, self._gamma, self._dt, self._mass, self._amps,
+                self._noise[m], _check_bounded,
+            )
+        # _window_kernel on floats in one frame, operation for operation
+        grad, dt, mass, h, hg, lo, hi = self._float_window
+        kicks = self._kicks[m]
+        kick = kicks[0]
+        p_half = p
+        g = grad(q)
+        for l in self._substeps:
+            p_half = p - h * g - hg * p_half + kick
+            q = q + dt * (p_half / mass)
+            g = grad(q)
+            kick = kicks[l]
+            p = p_half - h * g - hg * p_half + kick
+            # false for NaN and inf, as abs(q) <= BLOWUP_LIMIT is
+            if not (lo <= q <= hi and lo <= p <= hi):
+                raise _blow_up(l)
+        return q, p
 
     def rows(self, qs, ps, ms):
         """Windows ``ms[i]`` (0-based) from the raw states ``qs[i], ps[i]``, in one call.

@@ -47,10 +47,11 @@ schedule:
 * The windows bound the schedule.  ``depth`` caps the iterations in flight
   and ``gap`` is how many windows a follower starts behind its predecessor
   (so one fine call serves that many steps).  Depth is 1 on the float path
-  (d = 1), where a window costs about 2 us and a batched call about 70 us,
+  (d = 1), where a window costs about 1 us and a batched call about 70 us,
   and for plain callables; there each iteration makes one fine call over its
-  whole slab and then sweeps it window by window.  On the array path they
-  are ``integrator._WAVE_DEPTH`` and ``integrator._WAVE_GAP``.
+  whole slab and then sweeps it window by window, accounting for each
+  common node inline.  On the array path they are
+  ``integrator._WAVE_DEPTH`` and ``integrator._WAVE_GAP``.
 * Followers start on evidence.  A follower starts only while more than half
   of the iterations in flight will almost surely be followed in a serial
   run: the bootstrap, a sweep that cut the slab, a sweep whose running error
@@ -240,10 +241,6 @@ def _norm_float(x: float) -> float:
 
 def _norm_array(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))  # what np.linalg.norm computes for a 1-d array
-
-
-def _finite_float(q: float, p: float) -> bool:
-    return math.isfinite(q) and math.isfinite(p)
 
 
 def _finite_array(q: np.ndarray, p: np.ndarray) -> bool:
@@ -465,7 +462,7 @@ def _wave(q0, p0, n_init, n, fine, coarse, depth, gap, storage, cap, conv, expl,
     raised when their iteration is the next to be yielded.
     """
     scalar = coarse.scalar
-    norm, finite = (_norm_float, _finite_float) if scalar else (_norm_array, _finite_array)
+    norm = _norm_float if scalar else _norm_array
     one = coarse.one
     Q, P, GQ, GP = storage
 
@@ -523,6 +520,30 @@ def _wave(q0, p0, n_init, n, fine, coarse, depth, gap, storage, cap, conv, expl,
                     bq, bp = one(q[m], p[m], m)
                     q[m + 1] = gq[m] = bq
                     p[m + 1] = gp[m] = bp
+            elif scalar:
+                # node() inline for the common node: finite, a nonzero
+                # denominator, not above expl; any other goes through node()
+                pq, deltas = s.prev.q, s.deltas
+                sqrt, inf = math.sqrt, math.inf
+                for m in range(s.pos, hi):
+                    bq, bp = one(q[m], p[m], m)
+                    q[m + 1] = nq = bq + gq[m]  # the jump, replaced by G(U_m) next
+                    p[m + 1] = np_ = bp + gp[m]
+                    gq[m], gp[m] = bq, bp
+                    x = pq[m + 1]
+                    step = nq - x
+                    ok = -inf < nq < inf and -inf < np_ < inf  # false for NaN
+                    if ok:
+                        num = s.num + sqrt(step * step)  # _norm_float
+                        den = s.den + sqrt(x * x)
+                        if den != 0.0:
+                            delta = num / den
+                            if not delta > expl:
+                                s.num, s.den = num, den
+                                deltas.append(delta)
+                                continue
+                    if not node(s, m, ok, step, x):
+                        return
             else:
                 pq = s.prev.q
                 for m in range(s.pos, hi):
@@ -531,7 +552,7 @@ def _wave(q0, p0, n_init, n, fine, coarse, depth, gap, storage, cap, conv, expl,
                     p[m + 1] = np_ = bp + gp[m]
                     gq[m], gp[m] = bq, bp
                     x = pq[m + 1]
-                    if not node(s, m, finite(nq, np_), nq - x, x):
+                    if not node(s, m, _finite_array(nq, np_), nq - x, x):
                         return
             s.pos = hi
         except Exception as err:  # held until s is the oldest in flight

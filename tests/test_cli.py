@@ -718,6 +718,16 @@ _MESSAGE_TABLE = [
         {"parareal.n_windows": 10.0},
         ("parareal.n_windows: must be an integer, got 10.0",),
     ),
+    (
+        "parareal_n_windows_401_digits",
+        {"parareal.n_windows": 10**400},
+        (f"parareal.n_windows: must be <= 9007199254740992, got {10**400}",),
+    ),
+    (
+        "parareal_n_windows_at_the_integer_bound",
+        {"parareal.n_windows": 2**53},
+        (),
+    ),
     ("parareal_k_max_zero", {"parareal.k_max": 0}, ("parareal.k_max: must be >= 1, got 0",)),
     (
         "parareal_k_max_null",
@@ -872,6 +882,11 @@ _MESSAGE_TABLE = [
         ("ensemble.size: must be an integer, got True",),
     ),
     (
+        "ensemble_size_past_the_integer_bound",
+        {"experiment": "ensemble", "ensemble.size": 2**53 + 1},
+        ("ensemble.size: must be <= 9007199254740992, got 9007199254740993",),
+    ),
+    (
         "ensemble_segment_zero",
         {"experiment": "ensemble", "ensemble.segment_windows": 0},
         ("ensemble.segment_windows: must be >= 1, got 0",),
@@ -951,6 +966,11 @@ _MESSAGE_TABLE = [
         "temperature_n_windows_zero",
         {"experiment": "temperature", "temperature.n_windows": 0},
         ("temperature.n_windows: must be >= 1, got 0",),
+    ),
+    (
+        "temperature_n_windows_401_digits",
+        {"experiment": "temperature", "temperature.n_windows": 10**400},
+        (f"temperature.n_windows: must be <= 9007199254740992, got {10**400}",),
     ),
     (
         "temperature_dimension_zero",
@@ -1155,6 +1175,13 @@ class TestExitCodes:
         assert result["gain"] is None
         assert manifest["status"] == "complete"
         capsys.readouterr()
+
+    def test_integer_past_the_bound_exits_2(self, tmp_path, capsys):
+        changes = {"experiment": "temperature", "temperature.n_windows": 10**400}
+        path = _write(tmp_path, _changed_config(changes))
+        code = main(["temperature", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "temperature.n_windows: must be <= 9007199254740992" in capsys.readouterr().err
 
     def test_missing_output_dir_exits_2(self, tmp_path, capsys):
         path = _write(tmp_path, _base_config())

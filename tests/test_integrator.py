@@ -10,6 +10,7 @@ code under test.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -792,3 +793,47 @@ class TestPlanWindows:
         assert {i: (e.window, e.substep) for i, e in bad.items()} == {
             0: (3, substeps[1]), 1: (2, substeps[0])
         }
+
+    @pytest.mark.parametrize(
+        "case, q0, p0",
+        [
+            ("thermal", math.nan, 0.0),
+            ("thermal", 0.0, math.nan),
+            ("thermal", math.inf, 0.0),
+            ("thermal", -math.inf, 0.0),
+            ("thermal", 0.0, math.inf),
+            ("thermal", 0.0, -math.inf),
+            ("thermal", math.nextafter(BLOWUP_LIMIT, math.inf), 0.0),
+            ("thermal", -math.nextafter(BLOWUP_LIMIT, math.inf), 0.0),
+            ("thermal", 0.0, math.nextafter(BLOWUP_LIMIT, math.inf)),
+            ("stiff", 1e-6, 0.0),
+            ("stiff", 1.0, 0.0),
+        ],
+    )
+    def test_float_one_blows_up_where_propagate_window_does(self, case, q0, p0):
+        # "stiff" diverges from any nonzero start (omega * dt = 100), leaving
+        # the range part-way through the window
+        if case == "stiff":
+            pot = Harmonic(k=1e6)
+            params = LangevinParams(gamma=0.0, inv_beta=0.0, dt=0.1, substeps=20)
+            schedule = TemperatureSchedule.identity(20)
+        else:
+            pot = DoubleWell(a=1.0, b=1.0)
+            params = LangevinParams(gamma=0.7, inv_beta=0.5, dt=0.01, substeps=3)
+            schedule = TemperatureSchedule.robust(3)
+        plan = NoisePlan.for_windows(9, 3)
+        (windows,) = PlanWindows.for_potentials(
+            [pot], params, schedule, plan, PhaseState(q=[0.0], p=[0.0])
+        )
+        assert windows.scalar
+        # a PhaseState holds finite components only; the window reads q, p and dim
+        start = SimpleNamespace(q=np.array([q0]), p=np.array([p0]), dim=1)
+        with pytest.raises(BlowUpError) as ref, np.errstate(all="ignore"):
+            propagate_window(start, pot, params, schedule, plan.seed_for(2))
+        with pytest.raises(BlowUpError) as got:
+            windows.one(q0, p0, 1)
+        _, _, bad = windows.rows([q0], [p0], [1])
+        row = bad[0]
+        assert (str(got.value), got.value.substep) == (str(ref.value), ref.value.substep)
+        assert (str(row), row.substep) == (str(ref.value), ref.value.substep)
+        assert ref.value.substep > 1 if case == "stiff" else ref.value.substep == 1

@@ -12,6 +12,7 @@ same floats.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from collections import Counter
 
@@ -1161,3 +1162,131 @@ class TestPipelineDepth:
         ]
         bootstrap = sum(30 - slab.n_init for slab in result.slabs)
         assert sum(one_calls.values()) == bootstrap + len(result.error_history)
+
+
+# -- the float path is the 1-D array path, byte for byte --------------------
+
+# (q0, p0, inv_beta, dt) of the d = 1 runs: the shipped-style well, a start
+# at rest on the barrier top without noise (every position stays zero), and
+# a start from which the fine window diverges and the coarse one does not
+_PATH_STARTS = {
+    "thermal": (-1.0, 0.0, 0.4, 0.05),
+    "at-rest": (0.0, 0.0, 0.0, 0.05),
+    "stiff": (3.2, 0.0, 0.4, 0.22),
+}
+
+
+def _poison(fine, window):
+    """Make the fine output of ``window`` (0-based) infinite: its position
+    for an even window, its momentum for an odd one.
+
+    A window's own output never leaves the trusted range, so a corrected
+    node (coarse plus jump, each within it) is always finite; this reaches
+    the sweep's non-finite node check through the jump instead."""
+    rows = fine.rows
+
+    def poisoned(qs, ps, ms):
+        out = list(rows(qs, ps, ms))
+        hit = [i for i, m in enumerate(ms) if m == window]
+        if hit:
+            side = window % 2
+            out[side] = list(out[side]) if fine.scalar else out[side].copy()
+            for i in hit:
+                out[side][i] = math.inf
+        return tuple(out)
+
+    fine.rows = poisoned
+
+
+def _path_run(scalar, start, n, master, conv, expl, k_max, poison):
+    """``run()`` of DoubleWell(a=1.0) against DoubleWell(a=0.8) at d = 1, on
+    the float path or as length-1 coefficient vectors on the array path at
+    its own depth; classic when ``expl`` is None.  ``run`` ignores any
+    arguments, as :func:`_outcome` passes a depth."""
+    q0, p0, inv_beta, dt = _PATH_STARTS[start]
+    params = LangevinParams(gamma=0.5, inv_beta=inv_beta, dt=dt, substeps=2)
+    schedule = TemperatureSchedule.robust(2)
+    if scalar:
+        pots = [DoubleWell(a=1.0), DoubleWell(a=0.8)]
+    else:
+        pots = [DoubleWell(a=[1.0], b=[1.0]), DoubleWell(a=[0.8], b=[1.0])]
+    initial = _state([q0], [p0])
+    plan = NoisePlan.for_windows(master, n)
+    fine, coarse = PlanWindows.for_potentials(pots, params, schedule, plan, initial)
+    assert coarse.scalar is scalar
+    assert coarse.depth == (1 if scalar else integrator_module._WAVE_DEPTH)
+    if poison is not None:
+        _poison(fine, poison)
+    if expl is None:
+        config = PararealConfig(n_windows=n, delta_conv=conv, k_max=k_max)
+        return lambda *_: parareal_classic_engine(
+            initial, fine, coarse, config, record_iterates=True
+        )
+    config = PararealConfig(
+        n_windows=n, delta_conv=min(conv, 0.1 * expl), delta_expl=expl, k_max=k_max
+    )
+    return lambda *_: parareal_adaptive_engine(initial, fine, coarse, config)
+
+
+def _float_and_array(**case):
+    return tuple(_outcome(_path_run(scalar, **case), None) for scalar in (True, False))
+
+
+class TestFloatPathIsTheArrayPath:
+    """The float path's fused windows and inline node accounting against the
+    batched array path: trajectories, slabs, error histories, iterates,
+    warnings and every raised exception with its fields."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        start=st.sampled_from(sorted(_PATH_STARTS)),
+        n=st.integers(1, 30),
+        master=st.integers(0, 2**64 - 1),
+        conv=st.sampled_from([1e-4, 1e-10]),
+        expl=st.sampled_from([None, 1e-6, 0.02, 0.1, 0.35]),
+        k_max=st.sampled_from([None, 2, 5]),
+        poison=st.one_of(st.none(), st.integers(0, 29)),
+    )
+    def test_same_run(self, start, n, master, conv, expl, k_max, poison):
+        on_floats, on_arrays = _float_and_array(
+            start=start, n=n, master=master, conv=conv, expl=expl, k_max=k_max, poison=poison
+        )
+        assert on_floats == on_arrays
+
+    @pytest.mark.parametrize(
+        "case, expected, prefix",
+        [
+            (dict(start="thermal", n=25, master=4, expl=0.02), "cuts", ""),
+            (dict(start="thermal", n=25, master=11, expl=None), "one slab", ""),
+            (dict(start="thermal", n=10, master=3, expl=1e-6), SlabCollapseError, "slab 1 exploded"),
+            (
+                dict(start="thermal", n=10, master=3, expl=0.35, poison=4),
+                BlowUpError,
+                "corrected state is not finite at window 5 (iteration 1)",
+            ),
+            (
+                dict(start="at-rest", n=6, master=1, expl=None),
+                DegenerateNormalizationError,
+                "all reference positions",
+            ),
+            (
+                dict(start="stiff", n=20, master=0, expl=None),
+                BlowUpError,
+                "state left the trusted range",
+            ),
+        ],
+        ids=["cuts", "classic", "collapse", "non-finite-node", "zero-denominator", "fine-blow-up"],
+    )
+    def test_every_outcome(self, case, expected, prefix):
+        case = dict(dict(conv=1e-10, k_max=None, poison=None), **case)
+        on_floats, on_arrays = _float_and_array(**case)
+        assert on_floats == on_arrays
+        shown, _ = on_floats
+        if shown[0] == "result":
+            result = _path_run(True, **case)()
+            cut = any(len(slab.attempts) > 1 for slab in result.slabs)
+            assert result.converged and expected == ("cuts" if cut else "one slab")
+        else:
+            assert shown[1] is expected and shown[2].startswith(prefix)
+            if expected is BlowUpError:
+                assert shown[4] >= 1  # an iteration of the sweeps, not the bootstrap
