@@ -20,14 +20,13 @@ would deliver and bounds the gain from above whenever ``cc > 0``.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .model import atomic_open
-from .parareal import SlabRecord
+from .model import write_csv
+from .parareal import SlabRecord, check_slab_tiling
 
 GAIN_CSV_HEADER = ("dt", "delta_expl", "delta_conv", "gain_ideal", "gain", "n_slab")
 
@@ -78,18 +77,7 @@ def _check_costs(cf: float, cc: float) -> None:
 def _check_tiling(slabs: Sequence[SlabRecord], n_windows: int) -> None:
     if n_windows < 1:
         raise ValueError(f"n_windows must be >= 1, got {n_windows}")
-    if not slabs:
-        raise ValueError("slab list is empty; it must tile the window range")
-    if slabs[0].n_init != 0:
-        raise ValueError(f"first slab starts at {slabs[0].n_init}, expected 0")
-    for i, slab in enumerate(slabs):
-        if slab.slab_index != i + 1:
-            raise ValueError("slab indices must run 1..n_slab in order")
-    for a, b in zip(slabs, slabs[1:]):
-        if b.n_init != a.n_final:
-            raise ValueError(
-                f"slabs must tile the window range: {a.n_final} != {b.n_init}"
-            )
+    check_slab_tiling(slabs)
     if slabs[-1].n_final != n_windows:
         raise ValueError(
             f"last slab ends at {slabs[-1].n_final}, expected {n_windows}"
@@ -163,8 +151,4 @@ def gain_csv_row(
 
 def write_gain_csv(path: str | Path, rows: Iterable[tuple[str, ...]]) -> None:
     """Write a gain table with the standard header."""
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GAIN_CSV_HEADER)
-        for row in rows:
-            writer.writerow(row)
+    write_csv(path, GAIN_CSV_HEADER, map(",".join, rows))

@@ -14,7 +14,6 @@ basins are labeled per node at the trajectory resolution available.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import NodeTrajectory, atomic_open
+from .model import NodeTrajectory, write_csv
 from .potentials import Potential, local_minima
 
 RESIDENCE_HISTOGRAM_HEADER = ("bin_start", "bin_end", "count")
@@ -261,8 +260,5 @@ def residence_histogram(
 def write_residence_histogram_csv(
     path: str | Path, durations: Sequence[int], bin_width: int
 ) -> None:
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESIDENCE_HISTOGRAM_HEADER)
-        for lo, hi, count in residence_histogram(durations, bin_width):
-            writer.writerow([str(lo), str(hi), str(count)])
+    lines = (f"{lo},{hi},{count}" for lo, hi, count in residence_histogram(durations, bin_width))
+    write_csv(path, RESIDENCE_HISTOGRAM_HEADER, lines)

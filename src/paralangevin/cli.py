@@ -8,9 +8,8 @@ content depends only on the config and the master seed; worker counts and
 timestamps appear in the manifest only, so reruns of the same config are
 byte-identical file for file.
 
-Exit codes: 0 success, 2 config or validation error, 3 numerical failure
-(blow-up, slab collapse, failed minimization), 4 non-convergence at the
-iteration cap.
+Exit codes: 0 success, 2 config, validation or data error, 3 numerical failure,
+4 non-convergence at the iteration cap; ``_FAILURES`` and README list the causes.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from .integrator import (
     TemperatureSchedule,
     measure_kinetic_temperature,
 )
-from .model import LangevinParams, PhaseState, atomic_open, write_trajectory_csv
+from .model import LangevinParams, PhaseState, atomic_open, write_csv, write_trajectory_csv
 from .parareal import (
     DegenerateNormalizationError,
     PararealConfig,
@@ -614,37 +613,26 @@ def validate_config(path: str | Path) -> ExperimentConfig:
 # -- report writing ---------------------------------------------------------
 
 
-def _jsonable(obj: Any) -> Any:
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
+def _json_default(obj: Any) -> Any:
+    """What :func:`json.dumps` writes for the numpy values and paths it cannot encode."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     if isinstance(obj, Path):
         return str(obj)
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path: Path, payload: dict[str, Any]) -> Path:
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
     with atomic_open(path) as fh:
         fh.write(text)
     return path
 
 
 def _write_history_csv(path: Path, history) -> Path:
-    """``slab,iteration,delta`` rows with :func:`csv.writer`'s bytes
-    (``\\r\\n`` line ends, no field needs quoting)."""
-    with atomic_open(path) as fh:
-        fh.write("slab,iteration,delta\r\n")
-        fh.writelines(
-            f"{slab},{iteration},{delta:.17g}\r\n" for slab, iteration, delta in history
-        )
+    """``slab,iteration,delta`` rows, one per entry of ``history``."""
+    lines = (f"{slab},{iteration},{delta:.17g}" for slab, iteration, delta in history)
+    write_csv(path, ("slab", "iteration", "delta"), lines)
     return path
 
 
@@ -688,6 +676,12 @@ def _write_manifest(
 
 
 # -- protocol runners -------------------------------------------------------
+
+
+def _parareal_config(cfg: ExperimentConfig, **fields: Any) -> PararealConfig:
+    """The config's fields of :class:`PararealConfig`'s names, with ``fields`` replaced."""
+    names = ("n_windows", "delta_conv", "delta_expl", "k_max")
+    return PararealConfig(**{**{name: getattr(cfg, name) for name in names}, **fields})
 
 
 def _run_temperature(cfg: ExperimentConfig, out_dir: Path, outputs: list[Path]) -> int:
@@ -743,12 +737,7 @@ def _run_parareal(cfg: ExperimentConfig, out_dir: Path, outputs: list[Path]) -> 
     adaptive = cfg.experiment == "parareal_adaptive"
     pair = cfg.pair()
     plan = NoisePlan.for_windows(cfg.master_seed, cfg.n_windows)
-    config = PararealConfig(
-        n_windows=cfg.n_windows,
-        delta_conv=cfg.delta_conv,
-        delta_expl=cfg.delta_expl,
-        k_max=cfg.k_max,
-    )
+    config = _parareal_config(cfg)
     engine = parareal_adaptive if adaptive else parareal_classic
     result = engine(cfg.initial, pair, cfg.params, cfg.schedule, plan, config)
 
@@ -792,12 +781,7 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path, outputs: list[Path]) -> int
         params = replace(cfg.params, dt=dt)
         for delta_conv in cfg.sweep.delta_conv:
             for delta_expl in cfg.sweep.delta_expl:
-                config = PararealConfig(
-                    n_windows=cfg.n_windows,
-                    delta_conv=delta_conv,
-                    delta_expl=delta_expl,
-                    k_max=cfg.k_max,
-                )
+                config = _parareal_config(cfg, delta_conv=delta_conv, delta_expl=delta_expl)
                 result = parareal_adaptive(cfg.initial, pair, params, cfg.schedule, plan, config)
                 if not result.converged:
                     raise _NonConvergenceAbort(
@@ -838,12 +822,7 @@ def _run_ensemble(cfg: ExperimentConfig, out_dir: Path, outputs: list[Path]) -> 
     start_q = local_minima(pair.fine, [cfg.initial.q])[0]
     start = PhaseState(q=start_q, p=np.zeros_like(start_q))
     catalog = BasinCatalog.from_potential(pair.fine, spec.basin_starts)
-    config = PararealConfig(
-        n_windows=spec.segment_windows,
-        delta_conv=cfg.delta_conv,
-        delta_expl=cfg.delta_expl,
-        k_max=cfg.k_max,
-    )
+    config = _parareal_config(cfg, n_windows=spec.segment_windows)
 
     # every member runs before any is analysed, so a member's failure outranks an
     # earlier member's non-convergence
@@ -1002,6 +981,22 @@ def _error_payload(exc: BaseException) -> dict[str, Any]:
     return payload
 
 
+_NUMERICAL = (SlabCollapseError, DegenerateNormalizationError, MinimizationError, PotentialError)
+
+# (exception types, stderr line, exit code) of each failure that leaves an ``incomplete``
+# manifest, tried in order; any other exception leaves a ``failed`` one and propagates.
+_FAILURES = (
+    ((BlowUpError,), "blow-up: {}", EXIT_BLOWUP),
+    (_NUMERICAL, "numerical failure: {}", EXIT_BLOWUP),
+    ((_NonConvergenceAbort,), "non-convergence: {}", EXIT_NO_CONVERGENCE),
+    (
+        (InsufficientDataError,),
+        "insufficient data: {} (lengthen segment_windows or enlarge the ensemble)",
+        EXIT_CONFIG,
+    ),
+)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -1033,39 +1028,25 @@ def main(argv: Sequence[str] | None = None) -> int:
     if out_dir is None:
         print("config error: output_dir: set it in the config or pass --out", file=sys.stderr)
         return EXIT_CONFIG
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: output_dir: cannot create {out_dir}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
 
     outputs: list[Path] = []
     _write_manifest(out_dir, cfg, args.workers, outputs, "running")
     try:
         status = EXPERIMENTS[cfg.experiment].run(cfg, out_dir, outputs)
-    except BlowUpError as exc:
-        _write_manifest(out_dir, cfg, args.workers, outputs, "incomplete", _error_payload(exc))
-        print(f"blow-up: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
-    except (
-        SlabCollapseError,
-        DegenerateNormalizationError,
-        MinimizationError,
-        PotentialError,
-    ) as exc:
-        _write_manifest(out_dir, cfg, args.workers, outputs, "incomplete", _error_payload(exc))
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
-    except _NonConvergenceAbort as exc:
-        _write_manifest(out_dir, cfg, args.workers, outputs, "incomplete", _error_payload(exc))
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except InsufficientDataError as exc:
-        _write_manifest(out_dir, cfg, args.workers, outputs, "incomplete", _error_payload(exc))
-        print(
-            f"insufficient data: {exc} (lengthen segment_windows or enlarge the ensemble)",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
     except BaseException as exc:  # interrupts included: the manifest says so, then re-raise
-        _write_manifest(out_dir, cfg, args.workers, outputs, "failed", _error_payload(exc))
-        raise
+        failure = next((row for row in _FAILURES if isinstance(exc, row[0])), None)
+        state = "failed" if failure is None else "incomplete"
+        _write_manifest(out_dir, cfg, args.workers, outputs, state, _error_payload(exc))
+        if failure is None:
+            raise
+        _, line, code = failure
+        print(line.format(exc), file=sys.stderr)
+        return code
 
     _write_manifest(out_dir, cfg, args.workers, outputs, "complete")
     for path in outputs:

@@ -117,33 +117,18 @@ def _row_state(q: np.ndarray, p: np.ndarray) -> PhaseState:
 class NodeTrajectory:
     """States at the window endpoints n = 0..N of one run.
 
-    Held as two read-only ``(N+1, d)`` arrays, positions and momenta, checked
-    once for shape and finiteness.  Build it from a sequence of
-    :class:`PhaseState` s, or from the arrays themselves (copied):
+    Held as two read-only ``(N+1, d)`` arrays, positions and momenta, copied
+    and checked once for shape and finiteness:
     ``NodeTrajectory(q=positions, p=momenta)``.  Indexing and iteration give
-    ``PhaseState`` s whose ``q`` and ``p`` are read-only row views.
+    :class:`PhaseState` s whose ``q`` and ``p`` are read-only row views.
     """
 
     __slots__ = ("_q", "_p")
     __hash__ = None
 
-    def __init__(self, states=None, *, q=None, p=None) -> None:
-        if (states is None) == (q is None) or (q is None) != (p is None):
-            raise TypeError("give either the states or both the q and p arrays")
-        if states is not None:
-            states = tuple(states)
-            if not states:
-                raise ValueError("a trajectory needs at least the initial node")
-            for k, s in enumerate(states):
-                if not isinstance(s, PhaseState):
-                    raise TypeError(f"node {k} is not a PhaseState")
-                if s.dim != states[0].dim:
-                    raise ValueError(f"node {k} has dimension {s.dim}, expected {states[0].dim}")
-            q = np.stack([s.q for s in states])
-            p = np.stack([s.p for s in states])
-        else:
-            q = np.array(q, dtype=float)
-            p = np.array(p, dtype=float)
+    def __init__(self, *, q, p) -> None:
+        q = np.array(q, dtype=float)
+        p = np.array(p, dtype=float)
         if q.ndim != 2 or q.shape[1] == 0 or q.shape != p.shape:
             raise ValueError(
                 f"q and p must be (N+1, d) arrays of one shape, got {q.shape} and {p.shape}"
@@ -227,24 +212,29 @@ def atomic_open(path: str | Path):
         raise
 
 
+def write_csv(path: str | Path, header, lines) -> None:
+    """Write the ``header`` names and then ``lines``, rows already joined with
+    commas, atomically with :func:`csv.writer`'s bytes (``\\r\\n`` line ends)
+    for fields that need no quoting: numbers and plain names."""
+    with atomic_open(path) as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(f"{line}\r\n" for line in lines)
+
+
 def write_trajectory_csv(
     trajectory: NodeTrajectory, path: str | Path, window_dt: float
 ) -> None:
     """Write nodes as CSV rows ``n, t, q_0..q_{d-1}, p_0..p_{d-1}``.
 
     Floats carry 17 significant digits, enough to round-trip doubles exactly.
-    The bytes are those of :func:`csv.writer` (``\\r\\n`` line ends, no
-    field needs quoting).
     """
     d = trajectory.dim
     header = ["n", "t"] + [f"q_{i}" for i in range(d)] + [f"p_{i}" for i in range(d)]
-    rows = np.hstack([trajectory._q, trajectory._p]).tolist()
-    with atomic_open(path) as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(
-            f"{n},{n * window_dt:.17g}," + ",".join([format(x, ".17g") for x in row]) + "\r\n"
-            for n, row in enumerate(rows)
-        )
+    lines = (
+        f"{n},{n * window_dt:.17g}," + ",".join([format(x, ".17g") for x in row])
+        for n, row in enumerate(np.hstack([trajectory._q, trajectory._p]).tolist())
+    )
+    write_csv(path, header, lines)
 
 
 def read_trajectory_csv(path: str | Path) -> NodeTrajectory:

@@ -188,6 +188,20 @@ class SlabRecord:
         return self.n_final - self.n_init
 
 
+def check_slab_tiling(slabs) -> None:
+    """Raise :class:`ValueError` unless ``slabs`` run 1..n and tile a range from window 0."""
+    if not slabs:
+        raise ValueError("slab list is empty; it must tile the window range")
+    if slabs[0].n_init != 0:
+        raise ValueError(f"first slab starts at {slabs[0].n_init}, expected 0")
+    for i, slab in enumerate(slabs):
+        if slab.slab_index != i + 1:
+            raise ValueError("slab indices must run 1..n_slab in order")
+    for a, b in zip(slabs, slabs[1:]):
+        if b.n_init != a.n_final:
+            raise ValueError(f"slabs must tile the window range: {a.n_final} != {b.n_init}")
+
+
 @dataclass(frozen=True)
 class PararealResult:
     """Outcome of a parareal run.
@@ -211,18 +225,7 @@ class PararealResult:
         object.__setattr__(self, "error_history", tuple(self.error_history))
         if self.iterates is not None:
             object.__setattr__(self, "iterates", tuple(self.iterates))
-        if not self.slabs:
-            raise ValueError("a result needs at least one slab record")
-        if self.slabs[0].n_init != 0:
-            raise ValueError("the first slab must start at window 0")
-        for i, slab in enumerate(self.slabs):
-            if slab.slab_index != i + 1:
-                raise ValueError("slab indices must run 1..n_slab in order")
-        for a, b in zip(self.slabs, self.slabs[1:]):
-            if b.n_init != a.n_final:
-                raise ValueError(
-                    f"slabs must tile the window range: {a.n_final} != {b.n_init}"
-                )
+        check_slab_tiling(self.slabs)
         if self.converged and self.slabs[-1].n_final != self.trajectory.n_windows:
             raise ValueError("a converged result must cover every window")
 
@@ -334,9 +337,11 @@ def _windows(prop):
     return prop if isinstance(prop, (PlanWindows, _Scripted)) else _Scripted(prop)
 
 
-def _check_plan(plan: NoisePlan, n_windows: int) -> None:
+def _plan_windows(pots, initial, params, schedule, plan: NoisePlan, n_windows: int):
+    """One :class:`PlanWindows` per potential on ``plan``, which must cover ``n_windows``."""
     if plan.n_windows < n_windows:
         raise ValueError(f"noise plan covers {plan.n_windows} windows, need {n_windows}")
+    return PlanWindows.for_potentials(pots, params, schedule, plan, initial)
 
 
 def sequential_propagate(
@@ -350,10 +355,9 @@ def sequential_propagate(
     """Chain ``n_windows`` fine windows; node n+1 uses the plan's seed n+1."""
     if n_windows < 0:
         raise ValueError(f"n_windows must be >= 0, got {n_windows}")
-    _check_plan(plan, n_windows)
     if n_windows == 0:
         return _trajectory([initial.q], [initial.p], initial.dim)
-    (windows,) = PlanWindows.for_potentials([pot], params, schedule, plan, initial)
+    (windows,) = _plan_windows([pot], initial, params, schedule, plan, n_windows)
     q, p = windows.raw(initial)
     qs, ps = [q], [p]
     for m in range(n_windows):
@@ -842,17 +846,9 @@ def parareal_classic(
     record_iterates: bool = False,
 ) -> PararealResult:
     """Classic parareal on a potential pair under a shared noise plan."""
-    _check_plan(plan, config.n_windows)
-    fine, coarse = PlanWindows.for_potentials(
-        [pair.fine, pair.coarse], params, schedule, plan, initial
-    )
-    return parareal_classic_engine(
-        initial,
-        fine,
-        coarse,
-        config,
-        record_iterates=record_iterates,
-    )
+    pots = (pair.fine, pair.coarse)
+    fine, coarse = _plan_windows(pots, initial, params, schedule, plan, config.n_windows)
+    return parareal_classic_engine(initial, fine, coarse, config, record_iterates=record_iterates)
 
 
 def parareal_adaptive(
@@ -864,8 +860,6 @@ def parareal_adaptive(
     config: PararealConfig,
 ) -> PararealResult:
     """Adaptive parareal on a potential pair under a shared noise plan."""
-    _check_plan(plan, config.n_windows)
-    fine, coarse = PlanWindows.for_potentials(
-        [pair.fine, pair.coarse], params, schedule, plan, initial
-    )
+    pots = (pair.fine, pair.coarse)
+    fine, coarse = _plan_windows(pots, initial, params, schedule, plan, config.n_windows)
     return parareal_adaptive_engine(initial, fine, coarse, config)

@@ -7,6 +7,7 @@ valid slab tilings and check monotonicity and the ideal-gain bound.
 
 from __future__ import annotations
 
+import csv
 import itertools
 
 import pytest
@@ -256,3 +257,28 @@ class TestGainCsv:
         assert float(values[0]) == 0.05
         assert float(values[4]) == 1000.0 / 232.0
         assert values[5] == "1"
+
+
+def _csv_writer_gains(path, rows):
+    """The gain-table writer as it was written with csv.writer (frozen reference)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(GAIN_CSV_HEADER)
+        for row in rows:
+            writer.writerow(row)
+
+
+def test_gain_csv_bytes_equal_the_csv_writer_reference(tmp_path):
+    two_slabs = [_slab(1, 0, [(10, 3), (6, 2)], 6), _slab(2, 6, [(10, 4)], 10)]
+    rows = [
+        gain_csv_row(classic_gain(10, 2, 100.0, 1.0), 0.05, 0.35, 1e-5),
+        gain_csv_row(adaptive_gain(two_slabs, 10, 175.0, 1.0), 0.1, None, 1e-10),
+        gain_csv_row(adaptive_gain(two_slabs, 10, 2.0 / 3.0, 0.0), 5e-324, 1e308, 1e-300),
+    ]
+    assert rows[1][1] == ""  # no explosion threshold: an empty field
+    write_gain_csv(tmp_path / "new.csv", rows)
+    _csv_writer_gains(tmp_path / "ref.csv", rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    write_gain_csv(tmp_path / "empty.csv", [])
+    _csv_writer_gains(tmp_path / "ref_empty.csv", [])
+    assert (tmp_path / "empty.csv").read_bytes() == (tmp_path / "ref_empty.csv").read_bytes()

@@ -7,6 +7,8 @@ invariant (durations, censored included, always sum to the sequence length).
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -221,6 +223,15 @@ class TestCompareEnsembles:
         assert compare_ensembles(b, a).overlap
 
 
+def _csv_writer_histogram(path, durations, bin_width):
+    """The histogram writer as it was written with csv.writer (frozen reference)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RESIDENCE_HISTOGRAM_HEADER)
+        for lo, hi, count in residence_histogram(durations, bin_width):
+            writer.writerow([str(lo), str(hi), str(count)])
+
+
 class TestHistogram:
     def test_bins_and_empties(self):
         assert residence_histogram([1, 2, 3, 7], bin_width=2) == [
@@ -239,6 +250,18 @@ class TestHistogram:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == ",".join(RESIDENCE_HISTOGRAM_HEADER)
         assert lines[1:] == ["0,2,1", "2,4,2", "4,6,0", "6,8,1"]
+
+    @pytest.mark.parametrize(
+        "durations, bin_width",
+        [([1, 2, 3, 7], 2), ([], 50), ([120, 5, 5, 999], 50), (np.array([3, 3, 10]), 1)],
+        ids=["small", "no-durations", "wide", "numpy-ints"],
+    )
+    def test_csv_bytes_equal_the_csv_writer_reference(self, tmp_path, durations, bin_width):
+        write_residence_histogram_csv(tmp_path / "new.csv", durations, bin_width)
+        _csv_writer_histogram(tmp_path / "ref.csv", durations, bin_width)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        if not len(durations):
+            assert (tmp_path / "new.csv").read_bytes() == b"bin_start,bin_end,count\r\n"
 
     def test_validation(self):
         with pytest.raises(ValueError):

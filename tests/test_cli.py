@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import errno
 import json
 import os
 import shutil
@@ -16,6 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import paralangevin
@@ -1176,6 +1178,77 @@ class TestExitCodes:
         assert manifest["status"] == "complete"
         capsys.readouterr()
 
+    _COLLAPSE = "slab 1 exploded at its first window 1; no shorter slab exists"
+    _SWEEP_ABORT = (
+        "sweep combination dt=0.05, delta_conv=1e-08, delta_expl=0.35 "
+        "did not converge within the iteration cap"
+    )
+    _MEMBER_ABORT = "ensemble member 0 did not converge within the iteration cap"
+    _TOO_FEW = "need at least 2 complete residence events, got 0"
+
+    @pytest.mark.parametrize(
+        "command, changes, code, line, error",
+        [
+            (
+                "adaptive",
+                {"parareal.delta_conv": 1e-10, "parareal.delta_expl": 1e-9},
+                3,
+                f"numerical failure: {_COLLAPSE}",
+                {"type": "SlabCollapseError", "message": _COLLAPSE},
+            ),
+            (
+                "sweep",
+                {"experiment": "gain_sweep", "parareal.k_max": 1},
+                4,
+                f"non-convergence: {_SWEEP_ABORT}",
+                {"type": "_NonConvergenceAbort", "message": _SWEEP_ABORT},
+            ),
+            (
+                "ensemble",
+                {"experiment": "ensemble", "parareal.k_max": 1},
+                4,
+                f"non-convergence: {_MEMBER_ABORT}",
+                {"type": "_NonConvergenceAbort", "message": _MEMBER_ABORT},
+            ),
+            (
+                "ensemble",
+                {"experiment": "ensemble", "ensemble.segment_windows": 5},
+                2,
+                f"insufficient data: {_TOO_FEW} (lengthen segment_windows or enlarge the ensemble)",
+                {"type": "InsufficientDataError", "message": _TOO_FEW},
+            ),
+        ],
+        ids=["slab-collapse", "sweep-abort", "ensemble-abort", "insufficient-data"],
+    )
+    def test_failure_exit_line_and_manifest(
+        self, tmp_path, capsys, command, changes, code, line, error
+    ):
+        out = tmp_path / "out"
+        path = _write(tmp_path, _changed_config(changes))
+        assert main([command, "--config", str(path), "--out", str(out)]) == code
+        assert capsys.readouterr().err == line + "\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "incomplete"
+        assert manifest["error"] == error
+        assert manifest["outputs"] == []
+        assert sorted(f.name for f in out.iterdir()) == ["manifest.json"]
+
+    @pytest.mark.parametrize(
+        "relative, reason",
+        [("taken", errno.EEXIST), ("taken/run", errno.ENOTDIR)],
+        ids=["out-is-a-file", "parent-is-a-file"],
+    )
+    def test_output_dir_that_cannot_be_created_exits_2(self, tmp_path, capsys, relative, reason):
+        (tmp_path / "taken").write_text("a file")
+        path = _write(tmp_path, _base_config())
+        out = tmp_path / relative
+        assert main(["adaptive", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: output_dir: cannot create {out}: {os.strerror(reason)}\n"
+        )
+        assert (tmp_path / "taken").read_text() == "a file"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["config.json", "taken"]
+
     def test_integer_past_the_bound_exits_2(self, tmp_path, capsys):
         changes = {"experiment": "temperature", "temperature.n_windows": 10**400}
         path = _write(tmp_path, _changed_config(changes))
@@ -1488,3 +1561,43 @@ def test_history_csv_bytes_equal_the_csv_writer_reference(tmp_path):
     cli._write_history_csv(tmp_path / "empty.csv", [])
     _csv_writer_history(tmp_path / "ref_empty.csv", [])
     assert (tmp_path / "empty.csv").read_bytes() == (tmp_path / "ref_empty.csv").read_bytes()
+
+
+def _frozen_jsonable(obj):
+    """The report encoding as it was written by hand, one type at a time
+    (frozen reference)."""
+    if isinstance(obj, dict):
+        return {str(k): _frozen_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_frozen_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_frozen_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, Path):
+        return str(obj)
+    return obj
+
+
+def test_json_bytes_equal_the_hand_encoding_reference(tmp_path):
+    payload = {
+        "f64": np.float64(0.1),
+        "f32": np.float32(0.1),
+        "i64": np.int64(-(2**62)),
+        "specials": [np.float64("nan"), float("inf"), np.float32("-inf"), -0.0, 5e-324],
+        "matrix": np.arange(6.0).reshape(2, 3) / 3.0,
+        "row_f32": np.array([0.1, 2.5], dtype=np.float32),
+        "row_i64": np.arange(3, dtype=np.int64),
+        "empty": np.empty((0, 2)),
+        "tuple": (1, (2.5, np.float64(1e-300)), [np.int64(3)], ()),
+        "path": Path("out") / "run",
+        "nested": {"b": [np.float32(1.5), None, True, "s"], "a": {"z": (np.int64(0),)}},
+    }
+    cli._write_json(tmp_path / "new.json", payload)
+    reference = json.dumps(_frozen_jsonable(payload), indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "new.json").read_bytes() == reference.encode()
+    with pytest.raises(TypeError):
+        cli._write_json(tmp_path / "bad.json", {"x": object()})
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["new.json"]

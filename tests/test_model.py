@@ -19,11 +19,8 @@ from paralangevin.model import (
 
 
 def _traj(positions, momenta=None):
-    states = []
-    for i, q in enumerate(positions):
-        p = momenta[i] if momenta is not None else [0.0] * len(q)
-        states.append(PhaseState(q=q, p=p))
-    return NodeTrajectory(tuple(states))
+    q = np.array(positions, dtype=float)
+    return NodeTrajectory(q=q, p=np.zeros_like(q) if momenta is None else momenta)
 
 
 class TestPhaseState:
@@ -125,10 +122,8 @@ class TestNodeTrajectory:
         assert t.slice(0, 0) == t
 
     def test_rejects_mixed_dimensions(self):
-        with pytest.raises(ValueError):
-            NodeTrajectory(
-                (PhaseState(q=[1.0], p=[0.0]), PhaseState(q=[1.0, 2.0], p=[0.0, 0.0]))
-            )
+        with pytest.raises(ValueError, match="one shape"):
+            NodeTrajectory(q=[[1.0], [2.0]], p=[[0.0, 0.0], [0.0, 0.0]])
 
     @given(
         st.integers(min_value=1, max_value=12),
@@ -143,7 +138,10 @@ class TestNodeTrajectory:
         t = _traj(qs.tolist())
         left = t.slice(0, cut)
         right = t.slice(cut, n_windows)
-        rebuilt = NodeTrajectory(left.states + right.states[1:])
+        rebuilt = NodeTrajectory(
+            q=np.vstack([left.positions(), right.positions()[1:]]),
+            p=np.vstack([left.momenta(), right.momenta()[1:]]),
+        )
         assert rebuilt == t
 
 
@@ -159,15 +157,14 @@ class TestArrayBackedTrajectory:
         q = rng.normal(size=(n_windows + 1, d))
         p = rng.normal(size=(n_windows + 1, d))
         from_arrays = NodeTrajectory(q=q, p=p)
-        from_states = NodeTrajectory(tuple(PhaseState(q=a, p=b) for a, b in zip(q, p)))
-        assert from_arrays == from_states
-        assert len(from_arrays) == len(from_states) == n_windows + 1
+        states = tuple(PhaseState(q=a, p=b) for a, b in zip(q, p))
+        assert len(from_arrays) == len(states) == n_windows + 1
         assert from_arrays.dim == d
-        for n, (a, b) in enumerate(zip(from_arrays, from_states)):
+        for n, (a, b) in enumerate(zip(from_arrays, states)):
             assert a.q.tobytes() == b.q.tobytes() == q[n].tobytes()
             assert a.p.tobytes() == b.p.tobytes() == p[n].tobytes()
             assert from_arrays[n] == b
-        assert from_arrays.states == from_states.states
+        assert from_arrays.states == states
 
     def test_rows_are_read_only_and_the_input_is_copied(self):
         q = np.array([[0.0, 1.0], [2.0, 3.0]])
@@ -236,11 +233,8 @@ class TestTrajectoryCsv:
 
     def test_roundtrip_bitwise(self, tmp_path):
         rng = np.random.default_rng(7)
-        states = tuple(
-            PhaseState(q=rng.normal(size=3) * 10.0**k, p=rng.normal(size=3))
-            for k in range(-3, 4)
-        )
-        t = NodeTrajectory(states)
+        q = rng.normal(size=(7, 3)) * 10.0 ** np.arange(-3, 4)[:, None]
+        t = NodeTrajectory(q=q, p=rng.normal(size=(7, 3)))
         path = tmp_path / "traj.csv"
         write_trajectory_csv(t, path, window_dt=0.125)
         back = read_trajectory_csv(path)

@@ -43,6 +43,7 @@ from paralangevin import (
     SlabCollapseError,
     SlabRecord,
     TemperatureSchedule,
+    adaptive_cost,
     parareal_adaptive,
     parareal_adaptive_engine,
     parareal_classic,
@@ -58,8 +59,9 @@ def _state(q, p=None):
     return PhaseState(q=q, p=np.zeros_like(q) if p is None else np.asarray(p, dtype=float))
 
 
-def _traj(qs):
-    return NodeTrajectory(tuple(_state([q] if np.isscalar(q) else q) for q in qs))
+def _traj(qs, ps=None):
+    q = np.array([[q] if np.isscalar(q) else q for q in qs], dtype=float)
+    return NodeTrajectory(q=q, p=np.zeros_like(q) if ps is None else ps)
 
 
 def _halving_coarse(state, m):
@@ -199,13 +201,13 @@ class TestRelativeError:
         assert relative_error(a, b, 1, 2) == 0.25
 
     def test_euclidean_norm_per_node(self):
-        a = NodeTrajectory((_state([0.0, 0.0]), _state([1.0, 0.0])))
-        b = NodeTrajectory((_state([0.0, 0.0]), _state([4.0, 4.0])))
+        a = _traj([[0.0, 0.0], [1.0, 0.0]])
+        b = _traj([[0.0, 0.0], [4.0, 4.0]])
         assert relative_error(a, b, 0, 1) == 5.0
 
     def test_momenta_never_enter(self):
-        a = NodeTrajectory((_state([1.0]), _state([2.0], p=[0.0])))
-        b = NodeTrajectory((_state([1.0]), _state([2.0], p=[999.0])))
+        a = _traj([1.0, 2.0], ps=[[0.0], [0.0]])
+        b = _traj([1.0, 2.0], ps=[[0.0], [999.0]])
         assert relative_error(a, b, 0, 1) == 0.0
 
     def test_zero_denominator_raises(self):
@@ -802,6 +804,23 @@ class TestRecordValidation:
                 error_history=(),
                 converged=True,
             )
+
+    @pytest.mark.parametrize(
+        "slabs, message",
+        [
+            ((), "slab list is empty; it must tile the window range"),
+            ((SlabRecord(1, 1, ((4, 1),), 4, 1),), "first slab starts at 1, expected 0"),
+        ],
+        ids=["empty", "late-start"],
+    )
+    def test_result_and_cost_model_give_one_tiling_message(self, slabs, message):
+        with pytest.raises(ValueError) as from_result:
+            PararealResult(
+                trajectory=_traj([1.0] * 5), slabs=slabs, error_history=(), converged=False
+            )
+        with pytest.raises(ValueError) as from_cost:
+            adaptive_cost(slabs, 4, 1.0, 1.0)
+        assert str(from_result.value) == str(from_cost.value) == message
 
     def test_result_requires_full_coverage_when_converged(self):
         trajectory = _traj([1.0] * 5)
