@@ -1183,6 +1183,61 @@ class TestPipelineDepth:
         assert sum(one_calls.values()) == bootstrap + len(result.error_history)
 
 
+# scripted pairs that never fail, from starts away from 0 (so no denominator
+# vanishes), under thresholds that cut slabs
+_transcribed_cases = st.fixed_dictionaries(
+    {
+        "n": st.integers(1, 14),
+        "q0": st.lists(st.floats(0.3, 1.5) | st.floats(-1.5, -0.3), min_size=1, max_size=3),
+        "gain_f": st.floats(0.8, 1.3),
+        "gain_c": st.floats(0.8, 1.3),
+        "tilt": st.floats(0.5, 3.0),
+        "conv": st.sampled_from([0.3, 1e-3, 1e-9]),
+        "expl": st.sampled_from([0.02, 0.1, 0.5, 2.0]),
+        "k_max": st.sampled_from([None, 1, 2, 3]),
+    }
+)
+
+
+class TestSlabLoopMatchesTranscription:
+    """The engines' slab loop against ``_hand_adaptive``, the published
+    pseudocode: trajectory bytes, slabs and error history."""
+
+    @staticmethod
+    def _setup(case, **limits):
+        fine, coarse = _scripted_pair(case["gain_f"], case["gain_c"], case["tilt"], np.inf, np.inf)
+        conv = min(case["conv"], 0.1 * case["expl"])
+        config = PararealConfig(
+            n_windows=case["n"], delta_conv=conv, k_max=case["k_max"], **limits
+        )
+        return _state(case["q0"]), fine, coarse, config
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_transcribed_cases)
+    def test_adaptive(self, case):
+        initial, fine, coarse, config = self._setup(case, delta_expl=case["expl"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                result = parareal_adaptive_engine(initial, fine, coarse, config)
+            except SlabCollapseError:
+                return  # the transcription cannot take a collapsing slab
+        _assert_same_run(result, *_hand_adaptive(initial, fine, coarse, config))
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=_transcribed_cases)
+    def test_classic(self, case):
+        # the transcription starts each attempt from the midpoint of the
+        # thresholds, so it takes a threshold no sweep reaches, not inf
+        initial, fine, coarse, config = self._setup(case)
+        hand = self._setup(case, delta_expl=1e300)[3]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = parareal_classic_engine(initial, fine, coarse, config)
+        states, slabs, history = _hand_adaptive(initial, fine, coarse, hand)
+        _assert_same_run(result, states, slabs, history[case["n"] - 1 :: case["n"]])
+
+
 # -- the float path is the 1-D array path, byte for byte --------------------
 
 # (q0, p0, inv_beta, dt) of the d = 1 runs: the shipped-style well, a start
