@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 config, validation or data error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 # Not used here: perfbench's tracer patches ``cli.ThreadPoolExecutor``.
@@ -95,6 +96,10 @@ class SweepGrid:
     dt: tuple[float, ...]
     delta_conv: tuple[float, ...]
     delta_expl: tuple[float, ...]
+
+
+# SweepGrid's fields, in row order: dt-major, then delta_conv, then delta_expl
+_GRIDS = ("dt", "delta_conv", "delta_expl")
 
 
 @dataclass(frozen=True)
@@ -331,10 +336,7 @@ _SECTIONS: dict[str, _Fields] = {
         "delta_expl": _Field(_number, "delta_expl"),
         "k_max": _Field(_int, minimum=1),
     },
-    "sweep": {
-        key: _Field(_vector, True, missing="missing required grid")
-        for key in ("dt", "delta_conv", "delta_expl")
-    },
+    "sweep": {key: _Field(_vector, True, missing="missing required grid") for key in _GRIDS},
     "ensemble": {
         "size": _Field(_int, True, minimum=2),
         "segment_windows": _Field(_int, True, minimum=1),
@@ -404,10 +406,8 @@ def _schedule(
         return None
     spec = raw["schedule"]
     try:
-        if spec == "identity":
-            return None if substeps is None else TemperatureSchedule.identity(substeps)
-        if spec == "robust":
-            return None if substeps is None else TemperatureSchedule.robust(substeps)
+        if spec in ("identity", "robust"):
+            return None if substeps is None else getattr(TemperatureSchedule, spec)(substeps)
         if spec == "flat2":
             if substeps is not None and substeps != 1:
                 _err(errors, "schedule", f"flat2 needs substeps == 1, got {substeps}")
@@ -471,15 +471,13 @@ def _sweep(
     grids, ok = _read(raw.get("sweep"), "sweep", needs, errors)
     if not ok:
         return None
-    for i, dt in enumerate(grids["dt"]):
-        if not dt > 0.0:
-            _err(errors, f"sweep.dt[{i}]", f"must be positive, got {dt}")
-        elif params is not None and params.gamma * dt >= 2.0:
-            _err(errors, f"sweep.dt[{i}]", f"gamma * dt must stay below 2, got {params.gamma * dt}")
-    for key in ("delta_conv", "delta_expl"):
+    for key in _GRIDS:
         for i, value in enumerate(grids[key]):
             if not value > 0.0:
                 _err(errors, f"sweep.{key}[{i}]", f"must be positive, got {value}")
+            elif key == "dt" and params is not None and params.gamma * value >= 2.0:
+                gamma_dt = params.gamma * value
+                _err(errors, f"sweep.dt[{i}]", f"gamma * dt must stay below 2, got {gamma_dt}")
     worst_conv = max(grids["delta_conv"])
     worst_expl = min(grids["delta_expl"])
     if worst_expl <= worst_conv:
@@ -776,33 +774,27 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path, outputs: list[Path]) -> int
     plan = NoisePlan.for_windows(cfg.master_seed, cfg.n_windows)
     rows: list[tuple[str, ...]] = []
     records: list[dict[str, Any]] = []
-    # row order is dt-major, then delta_conv, then delta_expl
-    for dt in cfg.sweep.dt:
+    for combo in itertools.product(*(getattr(cfg.sweep, key) for key in _GRIDS)):
+        dt, delta_conv, delta_expl = combo
         params = replace(cfg.params, dt=dt)
-        for delta_conv in cfg.sweep.delta_conv:
-            for delta_expl in cfg.sweep.delta_expl:
-                config = _parareal_config(cfg, delta_conv=delta_conv, delta_expl=delta_expl)
-                result = parareal_adaptive(cfg.initial, pair, params, cfg.schedule, plan, config)
-                if not result.converged:
-                    raise _NonConvergenceAbort(
-                        f"sweep combination dt={dt}, delta_conv={delta_conv}, "
-                        f"delta_expl={delta_expl} did not converge within the iteration cap"
-                    )
-                report = adaptive_gain(
-                    result.slabs, cfg.n_windows, pair.cost_fine, pair.cost_coarse
-                )
-                rows.append(gain_csv_row(report, dt, delta_expl, delta_conv))
-                records.append(
-                    {
-                        "dt": dt,
-                        "delta_conv": delta_conv,
-                        "delta_expl": delta_expl,
-                        "gain": report.gain,
-                        "gain_ideal": report.ideal_gain,
-                        "n_slab": report.n_slab,
-                        "total_iterations": report.total_iterations,
-                    }
-                )
+        config = _parareal_config(cfg, delta_conv=delta_conv, delta_expl=delta_expl)
+        result = parareal_adaptive(cfg.initial, pair, params, cfg.schedule, plan, config)
+        if not result.converged:
+            raise _NonConvergenceAbort(
+                f"sweep combination dt={dt}, delta_conv={delta_conv}, "
+                f"delta_expl={delta_expl} did not converge within the iteration cap"
+            )
+        report = adaptive_gain(result.slabs, cfg.n_windows, pair.cost_fine, pair.cost_coarse)
+        rows.append(gain_csv_row(report, dt, delta_expl, delta_conv))
+        records.append(
+            {
+                **dict(zip(_GRIDS, combo)),
+                "gain": report.gain,
+                "gain_ideal": report.ideal_gain,
+                "n_slab": report.n_slab,
+                "total_iterations": report.total_iterations,
+            }
+        )
     gains_path = out_dir / "gains.csv"
     write_gain_csv(gains_path, rows)
     outputs.append(gains_path)

@@ -79,7 +79,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, NamedTuple
 
@@ -183,10 +183,6 @@ class SlabRecord:
         if sum(a.iterations for a in attempts) != self.k_conv:
             raise ValueError("k_conv must equal the sum of attempt iterations")
 
-    @property
-    def width(self) -> int:
-        return self.n_final - self.n_init
-
 
 def check_slab_tiling(slabs) -> None:
     """Raise :class:`ValueError` unless ``slabs`` run 1..n and tile a range from window 0."""
@@ -287,14 +283,6 @@ def _attach_context(err: Exception, window, iteration) -> None:
         err.iteration = iteration
 
 
-def _one(prop, q, p, m: int, iteration):
-    try:
-        return prop.one(q, p, m)
-    except BlowUpError as err:
-        _attach_context(err, window=m + 1, iteration=iteration)
-        raise
-
-
 class _Scripted:
     """Row-by-row adapter that gives a plain ``(state, m)`` callable the
     :class:`PlanWindows` interface on ``(d,)`` array raw states.  Its depth
@@ -360,10 +348,15 @@ def sequential_propagate(
     (windows,) = _plan_windows([pot], initial, params, schedule, plan, n_windows)
     q, p = windows.raw(initial)
     qs, ps = [q], [p]
-    for m in range(n_windows):
-        q, p = _one(windows, q, p, m, 0)
-        qs.append(q)
-        ps.append(p)
+    m = 0
+    try:
+        for m in range(n_windows):
+            q, p = windows.one(q, p, m)
+            qs.append(q)
+            ps.append(p)
+    except BlowUpError as err:
+        _attach_context(err, window=m + 1, iteration=0)
+        raise
     return _trajectory(qs, ps, initial.dim)
 
 
@@ -696,99 +689,72 @@ def _wave(q0, p0, n_init, n, fine, coarse, depth, gap, storage, cap, conv, expl,
             coarse_stage(ready)
 
 
-def _commit(cur_q, cur_p, sweep, n_init) -> None:
-    """Write the nodes ``sweep`` set into the current iterate, as a serial
-    run overwrites them: up to its end, or to the node past its cut."""
-    last = sweep.end if sweep.cut is None else sweep.cut + 1
-    cur_q[n_init + 1 : last + 1] = sweep.q[n_init + 1 : last + 1]
-    cur_p[n_init + 1 : last + 1] = sweep.p[n_init + 1 : last + 1]
-
-
 def _parareal_loop(initial, fine, coarse, config, delta_expl, record_iterates=False):
     """Slab-shortening parareal with explosion threshold ``delta_expl``.
 
-    With ``delta_expl = inf`` no sweep can explode, so the run is one slab of
-    one attempt over the whole range: classic parareal.  ``fine`` and
-    ``coarse`` are :class:`PlanWindows` or :class:`_Scripted`; each slab's
-    iterations come from :func:`_wave` in iteration order, and ``cur_q[n],
-    cur_p[n]`` holds every node as the last iteration to reach it left it.
+    Each pass opens a slab on the remaining range, bootstraps it and sweeps
+    until a sweep converges or ``iteration_cap`` sweeps of one attempt ran;
+    a sweep that cuts the slab closes the attempt and shortens the slab.
+    With ``delta_expl = inf`` no sweep can cut, so the run is one slab of one
+    attempt over the whole range, classic parareal, and the history keeps
+    each sweep's last node only.  ``fine`` and ``coarse`` are
+    :class:`PlanWindows` or :class:`_Scripted`; each slab's iterations come
+    from :func:`_wave` in iteration order, and ``cur_q[n], cur_p[n]`` holds
+    every node as the last iteration to reach it left it.
     """
     n = config.n_windows
-    conv, expl = config.delta_conv, delta_expl
-    mid = 0.5 * (conv + expl)
+    conv, cap = config.delta_conv, config.iteration_cap
+    last_only = delta_expl == math.inf
     depth = min(fine.depth, coarse.depth)
     # node slots for the iterations in flight and the predecessor of the oldest
     storage = _storage(coarse.scalar, depth + 1, n, initial.dim)
-
-    def trajectory():
-        return _trajectory(cur_q, cur_p, initial.dim)
-
     if coarse.scalar:
         cur_q, cur_p = [None] * (n + 1), [None] * (n + 1)
     else:
         cur_q, cur_p = np.empty((n + 1, initial.dim)), np.empty((n + 1, initial.dim))
     cur_q[0], cur_p[0] = coarse.raw(initial)
-    iterates: list[NodeTrajectory] = []
-    n_init = 0
-    n_final = 0
-    delta = 0.0  # below any threshold, so the first pass opens slab 1
-    n_slab = 0
     slabs: list[SlabRecord] = []
     history: list[tuple[int, int, float]] = []
-    attempts: list[SlabAttempt] = []
-    k_in_slab = 0
-    converged = True
+    iterates: list[NodeTrajectory] = []
 
-    while n_final < n:
-        if delta < expl:
-            # previous slab converged (or nothing ran yet): open a new slab
-            # on the whole remaining range and bootstrap it coarsely
-            n_init = n_final
-            n_final = n
-            n_slab += 1
-            wave = _wave(
-                cur_q[n_init], cur_p[n_init], n_init, n, fine, coarse, depth, fine.gap, storage,
-                config.iteration_cap, conv, expl, n_slab,
-            )
-            _commit(cur_q, cur_p, next(wave), n_init)
-            if record_iterates:
-                iterates.append(trajectory())
-            attempts = []
-            k_in_slab = 0
-        delta = mid
-        k_attempt = 0
-        aborted = False
-        while conv <= delta <= expl:
-            if k_attempt >= config.iteration_cap:
-                aborted = True
-                break
+    def commit(sweep) -> None:
+        """Write the nodes ``sweep`` set into the current iterate, as a serial
+        run overwrites them: up to its end, or to the node past its cut."""
+        last = sweep.end if sweep.cut is None else sweep.cut + 1
+        cur_q[n_init + 1 : last + 1] = sweep.q[n_init + 1 : last + 1]
+        cur_p[n_init + 1 : last + 1] = sweep.p[n_init + 1 : last + 1]
+        if record_iterates:
+            iterates.append(_trajectory(cur_q, cur_p, initial.dim))
+
+    n_init = 0
+    converged = True
+    while converged and n_init < n:
+        n_slab, n_final = len(slabs) + 1, n
+        wave = _wave(
+            cur_q[n_init], cur_p[n_init], n_init, n, fine, coarse, depth, fine.gap, storage,
+            cap, conv, delta_expl, n_slab,
+        )
+        commit(next(wave))
+        attempts: list[SlabAttempt] = []
+        k_in_slab = k_attempt = 0
+        converged = False
+        while not converged and k_attempt < cap:
             sweep = next(wave)
             k_attempt += 1
             k_in_slab += 1
-            history.extend(zip(repeat(n_slab), repeat(k_in_slab), sweep.deltas))
-            _commit(cur_q, cur_p, sweep, n_init)
-            delta = sweep.deltas[-1]
+            deltas = sweep.deltas[-1:] if last_only else sweep.deltas
+            history.extend(zip(repeat(n_slab), repeat(k_in_slab), deltas))
+            commit(sweep)
             if sweep.cut is not None:
                 _close_attempt(attempts, n_init, n_final, k_attempt)
-                n_final = sweep.cut
-            if record_iterates:
-                iterates.append(trajectory())
-        if aborted or delta < conv:
-            _close_attempt(attempts, n_init, n_final, k_attempt)
-            slabs.append(
-                SlabRecord(
-                    slab_index=n_slab,
-                    n_init=n_init,
-                    attempts=tuple(attempts),
-                    n_final=n_final,
-                    k_conv=sum(a.iterations for a in attempts),
-                )
-            )
-        if aborted:
-            converged = False
-            break
+                n_final, k_attempt = sweep.cut, 0
+            else:
+                converged = sweep.deltas[-1] < conv
+        _close_attempt(attempts, n_init, n_final, k_attempt)
+        slabs.append(SlabRecord(n_slab, n_init, tuple(attempts), n_final, k_in_slab))
+        n_init = n_final
     return PararealResult(
-        trajectory=trajectory(),
+        trajectory=_trajectory(cur_q, cur_p, initial.dim),
         slabs=slabs,
         error_history=history,
         converged=converged,
@@ -810,11 +776,9 @@ def parareal_classic_engine(
     adaptive loop without an explosion threshold and keeps the error at the
     last node of each sweep.
     """
-    result = _parareal_loop(
+    return _parareal_loop(
         initial, _windows(fine), _windows(coarse), config, math.inf, record_iterates
     )
-    n = config.n_windows
-    return replace(result, error_history=result.error_history[n - 1 :: n])
 
 
 def parareal_adaptive_engine(

@@ -1005,6 +1005,11 @@ _MESSAGE_TABLE = [
         ("temperature.sampling: must be 'all_substeps' or 'window_ends', got None",),
     ),
     (
+        "temperature_sampling_window_ends",
+        {"experiment": "temperature", "temperature.sampling": "window_ends"},
+        (),
+    ),
+    (
         "temperature_burn_in_before_sampling",
         {"experiment": "temperature", "temperature.burn_in": 1.5, "temperature.sampling": "x"},
         (

@@ -580,6 +580,16 @@ class TestMeasureKineticTemperature:
         assert report.n_burn_in == 5
         assert len(report.per_substep_variance) == 3
 
+    @pytest.mark.parametrize("pot", [Free(), Harmonic(k=1.0)], ids=["free", "chain"])
+    def test_burn_in_keeps_the_last_window(self, pot):
+        # 0.75 of 2 windows rounds to 2; the clamp keeps the last one, so the
+        # run is the one that discards a single window
+        params = LangevinParams(gamma=0.5, inv_beta=1.0, dt=0.05, substeps=2)
+        sched = TemperatureSchedule.identity(2)
+        report = measure_kinetic_temperature(pot, params, sched, 2, 1, burn_in=0.75)
+        assert (report.n_windows, report.n_burn_in) == (2, 1)
+        assert report == measure_kinetic_temperature(pot, params, sched, 2, 1, burn_in=0.5)
+
     def test_input_validation(self):
         params = LangevinParams(gamma=0.5, inv_beta=1.0, dt=0.05)
         sched = TemperatureSchedule.identity(1)

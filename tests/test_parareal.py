@@ -329,6 +329,21 @@ class TestClassicEngineScripted:
         assert result.error_history == ((1, 1, 0.0),)
         assert [s.p[0] for s in result.trajectory] == [0.0, 100.0, 200.0, 300.0]
 
+    def test_overflowing_norms_do_not_count_as_convergence(self):
+        # positions near 1e160 overflow both norm sums, so the running error
+        # is inf / inf = NaN: neither converged nor cut, the sweeps go on
+        def doubling_fine(state, m):
+            return PhaseState(q=2.0 * state.q, p=state.p)
+
+        config = PararealConfig(n_windows=2, delta_conv=1e-3, k_max=3)
+        with np.errstate(over="ignore"):
+            result = parareal_classic_engine(
+                _state([1e160]), doubling_fine, _identity_fine, config
+            )
+        assert result.converged
+        assert [math.isnan(e) for _, _, e in result.error_history] == [True, True, False]
+        assert result.slabs[0].attempts == (SlabAttempt(2, 3),)
+
     def test_degenerate_positions_raise(self):
         config = PararealConfig(n_windows=3, delta_conv=1e-6)
         with pytest.raises(DegenerateNormalizationError):
@@ -343,8 +358,10 @@ class TestClassicEngineScripted:
             return PhaseState(q=state.q + 1e-3 * next(counter), p=state.p)
 
         config = PararealConfig(n_windows=3, delta_conv=1e-12, k_max=5)
-        with pytest.warns(RuntimeWarning, match="width"):
+        with pytest.warns(RuntimeWarning, match="width") as caught:
             result = parareal_classic_engine(_state([1.0]), drifting_fine, _identity_fine, config)
+        # the warning names the engine's caller
+        assert [w.filename for w in caught] == [__file__]
         assert not result.converged
         assert result.slabs[0].attempts == (SlabAttempt(3, 5),)
 
@@ -539,10 +556,11 @@ class TestAdaptiveEngineScripted:
             return PhaseState(q=state.q + 1e-3 * next(counter), p=state.p)
 
         config = self._config(delta_conv=1e-12, delta_expl=1e6, k_max=6)
-        with pytest.warns(RuntimeWarning, match="width"):
+        with pytest.warns(RuntimeWarning, match="width") as caught:
             result = parareal_adaptive_engine(
                 _state([1.0]), drifting_fine, _identity_fine, config
             )
+        assert [w.filename for w in caught] == [__file__]
         assert not result.converged
         assert result.slabs[-1].attempts == (SlabAttempt(4, 6),)
 
