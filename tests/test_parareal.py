@@ -1222,11 +1222,11 @@ class TestSlabLoopMatchesTranscription:
     pseudocode: trajectory bytes, slabs and error history."""
 
     @staticmethod
-    def _setup(case, **limits):
+    def _setup(case, delta_expl=None):
         fine, coarse = _scripted_pair(case["gain_f"], case["gain_c"], case["tilt"], np.inf, np.inf)
         conv = min(case["conv"], 0.1 * case["expl"])
         config = PararealConfig(
-            n_windows=case["n"], delta_conv=conv, k_max=case["k_max"], **limits
+            n_windows=case["n"], delta_conv=conv, delta_expl=delta_expl, k_max=case["k_max"]
         )
         return _state(case["q0"]), fine, coarse, config
 
