@@ -1,8 +1,9 @@
-"""Cost model and wall-clock gain evaluation for parareal runs.
+"""Cost model and modelled wall-clock gain of parareal runs.
 
 Costs are configured, never measured: one fine window propagation costs
 ``cf`` and one coarse window costs ``cc`` (arbitrary but consistent units),
-and the communication time is taken to be zero.  Gains are therefore
+and the communication time is taken to be zero.  Wall-clock cost and gain
+are modelled from these costs, with no clock involved, so gains are
 deterministic functions of the slab bookkeeping.
 
 The classic run costs the coarse bootstrap plus, per iteration, one parallel

@@ -47,11 +47,12 @@ _NOISE_BLOCK_ROWS = 256
 #: parareal iterations in flight on the array path, at most; the engine
 #: starts fewer when few look needed (see :mod:`paralangevin.parareal`).  A
 #: batched call costs a fixed part plus a part per row: LJ-7 coarse, L = 2,
-#: one serial window 112 us, 1, 8, 24 and 64 rows 131, 189, 362 and 777 us;
-#: 3-D double well 60 us, and 87 to 111 us for 1 to 64 rows (BENCH_2.json).
-#: So a row in a call of 24 costs 0.14 of a serial window or less, and the
-#: cap mainly bounds the storage, depth + 1 iterates of (N + 1, d) each;
-#: only slabs of more than 24 iterations run faster deeper (BENCH_2.json).
+#: one serial window 65 us, 1, 8, 24 and 64 rows 75, 90, 116 and 156 us (its
+#: gradient 22 us plus 0.3 us a row); 3-D double well 26 us, and 32 to 43 us
+#: for 1 to 64 rows (in process, 2-vCPU host).  So a row in a call of 24
+#: costs 0.07 of a serial window or less, and the cap mainly bounds the
+#: storage, depth + 1 iterates of (N + 1, d) each; only slabs of more than
+#: 24 iterations run faster deeper (BENCH_2.json).
 _WAVE_DEPTH = 24
 
 #: windows a follower starts behind its predecessor on the array path: one
@@ -198,36 +199,38 @@ def _check_substeps(params: LangevinParams, schedule: TemperatureSchedule) -> No
         )
 
 
-def _step_kernel(q, p, p_half_prev, grad_q, grad_fn, gamma, dt, mass, amp_l, amp_lp1, g_l, g_lp1):
-    p_half = p - 0.5 * dt * grad_q - 0.5 * dt * gamma * p_half_prev + amp_l * g_l
+def _step_kernel(q, p, p_half_prev, grad_q, grad_fn, gamma, dt, mass, kick_l, kick_lp1):
+    p_half = p - 0.5 * dt * grad_q - 0.5 * dt * gamma * p_half_prev + kick_l
     q1 = q + dt * (p_half / mass)
     grad_q1 = grad_fn(q1)
-    p1 = p_half - 0.5 * dt * grad_q1 - 0.5 * dt * gamma * p_half + amp_lp1 * g_lp1
+    p1 = p_half - 0.5 * dt * grad_q1 - 0.5 * dt * gamma * p_half + kick_lp1
     return q1, p1, p_half, grad_q1
 
 
-def _window_kernel(q, p, grad_fn, gamma, dt, mass, amps, noise, after_substep):
+def _window_kernel(q, p, grad_fn, gamma, dt, mass, kicks, after_substep):
     """Advance one window; ``q`` and ``p`` are ``(d,)`` rows or ``(B, d)`` rows.
 
-    ``amps[l]`` and ``noise[l]`` are the amplitude and Gaussian block ``l``
-    (``noise[l]`` is ``(B, d)`` for stacked rows).  Every operation is
-    elementwise per row, so a row of a stack is bitwise the row on its own.
+    ``kicks[l]`` is the amplitude-scaled Gaussian block ``l`` (``(B, d)`` for
+    stacked rows; see :func:`_amplitudes`).  Every operation is elementwise
+    per row, so a row of a stack is bitwise the row on its own.
     ``after_substep(q, p, l)`` runs after substep ``l`` (1-based).
     """
     # the opening substep's friction acts on the full-step momentum itself
     p_half = p
     grad_q = grad_fn(q)
-    for l in range(len(amps) - 1):
+    for l in range(len(kicks) - 1):
         q, p, p_half, grad_q = _step_kernel(
-            q, p, p_half, grad_q, grad_fn, gamma, dt, mass,
-            amps[l], amps[l + 1], noise[l], noise[l + 1],
+            q, p, p_half, grad_q, grad_fn, gamma, dt, mass, kicks[l], kicks[l + 1]
         )
         after_substep(q, p, l + 1)
     return q, p
 
 
-def _amplitudes(params, schedule, sqrt_m):
-    return [_amplitude(params, c) * sqrt_m for c in schedule.coefficients]
+def _amplitudes(params, schedule, mass):
+    """``(L + 1, d)`` block amplitudes; ``(..., L + 1, d)`` blocks times them
+    are the kicks, one multiply per component however many at once."""
+    sqrt_m = np.sqrt(mass)
+    return np.array([_amplitude(params, c) * sqrt_m for c in schedule.coefficients])
 
 
 def propagate_window(
@@ -251,7 +254,7 @@ def propagate_window(
     noise = gaussian_stream(seed, (params.substeps + 1) * d).reshape(-1, d)
     q, p = _window_kernel(
         state.q, state.p, pot.gradient, params.gamma, params.dt, mass,
-        _amplitudes(params, schedule, np.sqrt(mass)), noise, _check_bounded,
+        noise * _amplitudes(params, schedule, mass), _check_bounded,
     )
     return PhaseState(q=q, p=p)
 
@@ -265,9 +268,9 @@ class PlanWindows:
     :meth:`one` advances one window on that lean serial path; :meth:`rows`
     advances any set of windows in one batched kernel call.  Both are
     bitwise equal to :func:`propagate_window` with the plan's seed, and the
-    noise comes from the plan's cache (:meth:`NoisePlan.noise`).  On floats
-    :meth:`one` is the kernel written out in one frame, with the half-step
-    factors and the amplitude-scaled noise formed once per plan: a
+    noise comes from the plan's cache (:meth:`NoisePlan.noise`), scaled once
+    per plan.  On floats :meth:`one` is the kernel written out in one frame,
+    with the half-step factors formed once and ``pot._float_grad()``: a
     double-well window of 2 substeps costs about 1.0 us in process, against
     1.9 us through the kernel's per-substep calls (2-vCPU host,
     BENCH_5.json).
@@ -290,30 +293,27 @@ class PlanWindows:
         _check_substeps(params, schedule)
         d = initial.dim
         mass = params.mass_vector(d)
-        amps = _amplitudes(params, schedule, np.sqrt(mass))
         self._grad = pot._grad
         self._gamma, self._dt = params.gamma, params.dt
         self._d = d
-        self._noise = plan.noise((params.substeps + 1) * d).reshape(plan.n_windows, -1, d)
+        noise = plan.noise((params.substeps + 1) * d).reshape(plan.n_windows, -1, d)
+        self._kicks = noise * _amplitudes(params, schedule, mass)
         self.scalar = scalar
         self.depth = 1 if scalar else _WAVE_DEPTH
         self.gap = _WAVE_GAP
         if scalar:
             self._mass = float(mass[0])
-            self._amps = [float(a[0]) for a in amps]
             # the float window's constants, as the array kernel forms them:
-            # 0.5 * dt * x is (0.5 * dt) * x, and amps[l] * g[l] is one
-            # multiply whether numpy makes it here or Python per substep
+            # 0.5 * dt * x is (0.5 * dt) * x
             half_dt = 0.5 * self._dt
             self._float_window = (
-                self._grad, self._dt, self._mass, half_dt, half_dt * self._gamma,
+                pot._float_grad(), self._dt, self._mass, half_dt, half_dt * self._gamma,
                 -BLOWUP_LIMIT, BLOWUP_LIMIT,
             )
             self._substeps = range(1, params.substeps + 1)
-            self._kicks = (self._noise[:, :, 0] * np.array(self._amps)).tolist()
+            self._float_kicks = self._kicks[:, :, 0].tolist()
         else:
             self._mass = mass
-            self._amps = amps
 
     @classmethod
     def for_potentials(cls, pots, params, schedule, plan, initial) -> list["PlanWindows"]:
@@ -332,12 +332,12 @@ class PlanWindows:
         """Window ``m`` (0-based) from raw ``(q, p)``; raises at the first bad substep."""
         if not self.scalar:
             return _window_kernel(
-                q, p, self._grad, self._gamma, self._dt, self._mass, self._amps,
-                self._noise[m], _check_bounded,
+                q, p, self._grad, self._gamma, self._dt, self._mass, self._kicks[m],
+                _check_bounded,
             )
         # _window_kernel on floats in one frame, operation for operation
         grad, dt, mass, h, hg, lo, hi = self._float_window
-        kicks = self._kicks[m]
+        kicks = self._float_kicks[m]
         kick = kicks[0]
         p_half = p
         g = grad(q)
@@ -367,9 +367,9 @@ class PlanWindows:
         first_bad = np.zeros(b, dtype=np.int64)
         # consecutive windows are a view, so they cost no copy
         if isinstance(ms, range):
-            noise = self._noise[ms.start : ms.stop]
+            kicks = self._kicks[ms.start : ms.stop]
         else:
-            noise = self._noise.take(ms, axis=0)
+            kicks = self._kicks.take(ms, axis=0)
 
         def mark(q, p, substep):
             # one test for the whole stack; max propagates NaN, and NaN <= x
@@ -383,8 +383,7 @@ class PlanWindows:
         # rows that blew up keep running to the window end; silence their overflow
         with np.errstate(all="ignore"):
             q, p = _window_kernel(
-                q, p, self._grad, self._gamma, self._dt, self._mass, self._amps,
-                noise.swapaxes(0, 1), mark,
+                q, p, self._grad, self._gamma, self._dt, self._mass, kicks.swapaxes(0, 1), mark
             )
         bad = {}
         for i in np.flatnonzero(first_bad).tolist():
@@ -481,9 +480,9 @@ def _measure_chain(pot, params, amps, n_windows, master_seed, n_burn, d, mass):
         momenta[substep - 1] = p
 
     for n0, noise in _window_noise(master_seed, n_windows, (n_sub + 1) * d, _NOISE_BLOCK_ROWS):
-        for n, window in enumerate(noise.reshape(-1, n_sub + 1, d), start=n0):
+        for n, kicks in enumerate(noise.reshape(-1, n_sub + 1, d) * amps, start=n0):
             q, p = _window_kernel(
-                q, p, pot.gradient, params.gamma, params.dt, mass, amps, window, record
+                q, p, pot.gradient, params.gamma, params.dt, mass, kicks, record
             )
             if n >= n_burn:
                 s1 += momenta
@@ -506,7 +505,6 @@ def _measure_free(params, amps, n_windows, master_seed, n_burn, d):
     n_sub = params.substeps
     mu = AnalyticCoefficients.from_params(params).mu
     r = 1.0 - params.gamma * params.dt
-    amp = np.array(amps)
     # weight of amplitude-scaled block j inside the window-end map
     wcoef = np.empty(n_sub + 1)
     wcoef[0] = mu * r ** (n_sub - 1)
@@ -522,7 +520,7 @@ def _measure_free(params, amps, n_windows, master_seed, n_burn, d):
     chunk = max(1, int(4_194_304 // ((n_sub + 1) * d)))
     z = p_end = np.zeros(d)
     for n0, noise in _window_noise(master_seed, n_windows, (n_sub + 1) * d, chunk):
-        scaled = noise.reshape(-1, n_sub + 1, d) * amp[None, :, :]
+        scaled = noise.reshape(-1, n_sub + 1, d) * amps
         # window-end momenta: p_L[i] = w[i] + a p_L[i - 1], in place
         w = np.einsum("j,bjd->bd", wcoef, scaled)
         for row in w:
@@ -573,7 +571,7 @@ def measure_kinetic_temperature(
     _check_substeps(params, schedule)
     d = params.mass.shape[0] if params.mass is not None else 1
     mass = params.mass_vector(d)
-    amps = _amplitudes(params, schedule, np.sqrt(mass))
+    amps = _amplitudes(params, schedule, mass)
     if isinstance(pot, Free):
         s1, s2, count = _measure_free(params, amps, n_windows, master_seed, n_burn, d)
     else:

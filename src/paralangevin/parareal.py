@@ -50,13 +50,15 @@ schedule:
   (d = 1), where a window costs about 1 us and a batched call about 70 us,
   and for plain callables; there each iteration makes one fine call over its
   whole slab and then sweeps it window by window, accounting for each
-  common node inline.  On the array path they are
+  common node inline, as a batched step does.  On the array path they are
   ``integrator._WAVE_DEPTH`` and ``integrator._WAVE_GAP``.
 * Followers start on evidence.  A follower starts only while more than half
-  of the iterations in flight will almost surely be followed in a serial
-  run: the bootstrap, a sweep that cut the slab, a sweep whose running error
-  already reached ``delta_conv``.  A slab that converges in a few iterations
-  thus keeps few in flight, and one that needs many fills the depth.
+  of the iterations in flight that gave evidence will almost surely be
+  followed in a serial run: the bootstrap, a sweep that cut the slab, a
+  sweep whose running error already reached ``delta_conv``.  A sweep still
+  bit-identical to its predecessor gave none.  A slab that converges in a
+  few iterations thus keeps few in flight, and one that needs many fills
+  the depth.
 * Speculation leaves no trace.  An iteration that a serial run would never
   start (its predecessor converged, reached ``iteration_cap`` or cut the
   slab short of its windows) is dropped with its work and its errors.
@@ -240,6 +242,12 @@ def _norm_float(x: float) -> float:
 
 def _norm_array(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))  # what np.linalg.norm computes for a 1-d array
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """The :func:`_norm_array` of every row of ``x`` (``(B, d)``) in one
+    stacked matmul, bitwise; ``einsum`` and ``(x * x).sum(1)`` are not."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
 
 
 def _finite_array(q: np.ndarray, p: np.ndarray) -> bool:
@@ -442,6 +450,15 @@ def _leads(t, conv) -> bool:
     return t.k == 0 or t.cut is not None or bool(t.deltas) and t.deltas[-1] >= conv
 
 
+def _most_lead(flight, conv) -> bool:
+    """Whether more than half of the iterations in ``flight`` that gave
+    evidence lead.  A sweep on the prefix where it is bit-identical to its
+    predecessor, whose running error is exactly 0 however it will end, gave
+    none; the bootstrap and a sweep that cut the slab always did."""
+    votes = [_leads(t, conv) for t in flight if t.k == 0 or t.cut is not None or t.num != 0.0]
+    return 2 * sum(votes) > len(votes)
+
+
 def _wave(q0, p0, n_init, n, fine, coarse, depth, gap, storage, cap, conv, expl, n_slab):
     """Yield the iterations of the slab opening at node ``n_init``, bootstrap
     first, each once its sweep is done; see the module docstring.
@@ -453,7 +470,7 @@ def _wave(q0, p0, n_init, n, fine, coarse, depth, gap, storage, cap, conv, expl,
     predecessor has reached), then one coarse call over the current windows
     of all ready iterations, oldest first.  A follower starts ``gap``
     windows behind its predecessor, and only while ``cap`` lets it run and
-    more than half of the iterations in flight lead (see :func:`_leads`);
+    most iterations in flight that gave evidence lead (:func:`_most_lead`);
     an iteration's error or convergence drops its followers, which no
     depth-1 run would start.  Errors are held, whatever their type, and
     raised when their iteration is the next to be yielded.
@@ -568,10 +585,10 @@ def _wave(q0, p0, n_init, n, fine, coarse, depth, gap, storage, cap, conv, expl,
             GQ[a : a + first] = [f - g for f, g in zip(fq, GQ[a : a + first])]
             GP[a : a + first] = [f - g for f, g in zip(fp, GP[a : a + first])]
         else:
-            rows = [(s.prev.slot, m) for s, a, b in requests for m in range(a, b)]
-            slot, ms = np.array(rows).T
+            slot = np.repeat([s.prev.slot for s, _, _ in requests], [b - a for _, a, b in requests])
+            ms = np.concatenate([np.arange(a, b) for _, a, b in requests])
             fq, fp, bad = fine.rows(Q[slot, ms], P[slot, ms], ms)
-            first = min(bad, default=len(rows))
+            first = min(bad, default=len(ms))
             ms = ms[:first]
             GQ[ms] = fq[:first] - GQ[ms]
             GP[ms] = fp[:first] - GP[ms]
@@ -587,7 +604,8 @@ def _wave(q0, p0, n_init, n, fine, coarse, depth, gap, storage, cap, conv, expl,
 
     def coarse_stage(ready):
         """One coarse call over the current windows of ``ready`` (array
-        path, oldest first), then their node updates in that order."""
+        path, oldest first), then their node updates in that order, with
+        both norms of every corrected row taken in one call."""
         slot = np.array([t.slot for t in ready])
         ms = np.array([t.pos for t in ready])
         cq, cp, bad = coarse.rows(Q[slot, ms], P[slot, ms], ms)
@@ -603,12 +621,29 @@ def _wave(q0, p0, n_init, n, fine, coarse, depth, gap, storage, cap, conv, expl,
             Q[slot[0], ms[0] + 1], P[slot[0], ms[0] + 1] = cq[0], cp[0]
             ready[0].pos += 1
         Q[up], P[up] = nq, np_
-        ok = (np.isfinite(nq).all(axis=1) & np.isfinite(np_).all(axis=1)).tolist()
         step = nq - x
+        # no square overflows: windows keep every component within
+        # BLOWUP_LIMIT, and plain callables run at depth 1
+        norms = _norms(np.concatenate((step, x, np_))).tolist()
+        b, inf = len(x), math.inf
         for i in range(boot, first):
-            t, m, j = ready[i], int(ms[i]), i - boot
+            t, j = ready[i], i - boot
+            # node() inline for a common node: finite norms (the momentum's
+            # too), a nonzero denominator, not above expl; any other to node()
+            num, den = t.num + norms[j], t.den + norms[b + j]
+            if num < inf and 0.0 < den < inf and norms[2 * b + j] < inf:
+                delta = num / den
+                if not delta > expl:
+                    t.num, t.den = num, den
+                    t.deltas.append(delta)
+                    t.pos += 1
+                    if delta < conv and t.pos == t.end:
+                        after(t)  # converged: drops its followers
+                        return
+                    continue
+            m = t.pos
             try:
-                if node(t, m, ok[j], step[j], x[j]):
+                if node(t, m, _finite_array(nq[j], np_[j]), step[j], x[j]):
                     t.pos = m + 1
             except Exception as err:  # held until t is the oldest in flight
                 t.error = err
@@ -658,17 +693,17 @@ def _wave(q0, p0, n_init, n, fine, coarse, depth, gap, storage, cap, conv, expl,
             and y.fine_error is None
             and y.k - cut_k < cap
             and not converged(y)
-            and 2 * sum(_leads(t, conv) for t in flight) > len(flight)
+            and _most_lead(flight, conv)
         )
         if grow and y.pos >= min(n_init + gap, y.follower_end):
             flight.append(start(y.k + 1, y, y.follower_end))
         # a fine call only when a follower ran out of jumps; it then gives
         # every follower the jumps of all windows its predecessor has reached
         requests = [
-            (t, t.jumps, min(t.prev.pos, t.end))
+            (t, t.jumps, b)
             for t in flight
             if t.prev is not None and t.error is None and t.fine_error is None
-            and t.jumps < min(t.prev.pos, t.end)
+            and t.jumps < (b := min(t.prev.pos, t.end))
         ]
         if any(t.jumps == t.pos for t, _, _ in requests):
             r = fine_stage(requests)

@@ -62,6 +62,10 @@ class Potential:
             return self.gradient(q)
         return np.array([self.gradient(row) for row in q])
 
+    def _float_grad(self):
+        """:meth:`_grad` of a float; elementwise potentials bind coefficients once."""
+        return self._grad
+
     def _check_q(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         if q.ndim != 1:
@@ -113,6 +117,10 @@ class Harmonic(Potential):
     def _grad(self, q):
         return self.k * q
 
+    def _float_grad(self):
+        k = self.k
+        return lambda q: k * q
+
 
 @dataclass(frozen=True)
 class DoubleWell(Potential):
@@ -147,6 +155,10 @@ class DoubleWell(Potential):
 
     def _grad(self, q):
         return 4.0 * self.a * q * (q * q - self.b)
+
+    def _float_grad(self):
+        c, b = 4.0 * self.a, self.b  # (4.0 * a) * q * (q * q - b), as _grad
+        return lambda q: c * q * (q * q - b)
 
 
 @dataclass(frozen=True)
@@ -196,6 +208,10 @@ class LennardJonesCluster(Potential):
         slot[j, i] = pairs
         slot[i, j] = i.size + pairs
         object.__setattr__(self, "_slot", slot)
+        # sigma^2 / r2, 24 eps u3 and 48 eps u3 u3 as the formulas group them
+        object.__setattr__(self, "_sigma2", self.sigma * self.sigma)
+        object.__setattr__(self, "_eps24", 24.0 * self.epsilon)
+        object.__setattr__(self, "_eps48", 48.0 * self.epsilon)
 
     def _pair_r2(self, q: np.ndarray):
         """Differences x_i - x_j, ``(dim, pairs, *rows)``, and squared distances
@@ -224,8 +240,8 @@ class LennardJonesCluster(Potential):
 
     def _grad(self, q):
         diff, r2 = self._pair_r2(q)
-        u3 = (self.sigma * self.sigma / r2) ** 3
-        coeff = (24.0 * self.epsilon * u3 - 48.0 * self.epsilon * u3 * u3) / r2
+        u3 = (self._sigma2 / r2) ** 3
+        coeff = (self._eps24 * u3 - self._eps48 * u3 * u3) / r2
         pairs = r2.shape[0]
         table = np.empty((self.space_dim, 2 * pairs + 1) + r2.shape[1:])
         t = np.multiply(coeff, diff, out=table[:, :pairs])

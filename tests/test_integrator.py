@@ -166,10 +166,8 @@ def _substep(state, p_half_prev, pot, params, c_l, c_lp1, g_l, g_lp1):
         params.gamma,
         params.dt,
         mass,
-        integrator_module._amplitude(params, c_l) * sqrt_m,
-        integrator_module._amplitude(params, c_lp1) * sqrt_m,
-        np.asarray(g_l, dtype=float),
-        np.asarray(g_lp1, dtype=float),
+        integrator_module._amplitude(params, c_l) * sqrt_m * np.asarray(g_l, dtype=float),
+        integrator_module._amplitude(params, c_lp1) * sqrt_m * np.asarray(g_lp1, dtype=float),
     )
     return PhaseState(q=q1, p=p1), p_half
 
@@ -340,11 +338,9 @@ class TestPropagateWindow:
         real_step = integrator_module._step_kernel
         real_stream = integrator_module.gaussian_stream
 
-        def spy_step(q, p, p_half, grad_q, grad_fn, gamma, dt, mass, amp_l, amp_lp1, g_l, g_lp1):
-            calls.append((np.copy(p_half), np.copy(amp_l), np.copy(amp_lp1),
-                          np.copy(g_l), np.copy(g_lp1)))
-            return real_step(q, p, p_half, grad_q, grad_fn, gamma, dt, mass,
-                             amp_l, amp_lp1, g_l, g_lp1)
+        def spy_step(q, p, p_half, grad_q, grad_fn, gamma, dt, mass, kick_l, kick_lp1):
+            calls.append((np.copy(p_half), np.copy(kick_l), np.copy(kick_lp1)))
+            return real_step(q, p, p_half, grad_q, grad_fn, gamma, dt, mass, kick_l, kick_lp1)
 
         def spy_stream(seed, count):
             streams.append((seed, count))
@@ -364,15 +360,16 @@ class TestPropagateWindow:
         assert len(calls) == n_sub
         # the opening substep's friction acts on the start momentum itself
         assert np.array_equal(calls[0][0], start.p)
-        for l, (_, amp_open, amp_close, g_open, g_close) in enumerate(calls):
-            assert np.array_equal(g_open, blocks[l])
-            assert np.array_equal(g_close, blocks[l + 1])
+        sqrt_m = np.sqrt(params.mass_vector(d))
+        amps = [integrator_module._amplitude(params, c) * sqrt_m for c in sched.coefficients]
+        for l, (_, kick_open, kick_close) in enumerate(calls):
+            # kick l is block l times its amplitude, one multiply per component
+            assert np.array_equal(kick_open, amps[l] * blocks[l])
+            assert np.array_equal(kick_close, amps[l + 1] * blocks[l + 1])
             if l > 0:
-                # reused block: same variates, same amplitude as the closing
-                # half-kick of the previous substep
-                prev_close_amp, prev_close_g = calls[l - 1][2], calls[l - 1][4]
-                assert np.array_equal(g_open, prev_close_g)
-                assert np.array_equal(amp_open, prev_close_amp)
+                # reused block: the same kick as the closing half-kick of
+                # the previous substep
+                assert np.array_equal(kick_open, calls[l - 1][2])
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ import paralangevin.integrator as integrator_module
 import paralangevin.rng as rng_module
 from paralangevin.integrator import PlanWindows
 from paralangevin.parareal import _Scripted as Scripted
+from paralangevin.parareal import _norm_array, _norms
 from paralangevin import (
     BlowUpError,
     DegenerateNormalizationError,
@@ -1172,6 +1173,61 @@ class TestPipelineDepth:
             assert _outcome(_scripted_run(case, *pair(strict)), depth, gap) == reference
         assert unseen > 0
 
+    @pytest.mark.parametrize("fails", ["speculative row", "converging row"])
+    def test_one_coarse_step_cuts_converges_and_blows_up(self, monkeypatch, fails):
+        # d = 2 at depth 4, gap 1: one batched coarse call holds the rows of
+        # the bootstrap, sweep 1 (it cuts slab 1 at window 5), sweep 2 (it
+        # converges there on the shortened slab) and sweep 3, which no
+        # depth-1 run starts.  The coarse window blows up on sweep 3's
+        # input, which depth 1 never gives it, or on sweep 2's, which it
+        # does; the run, or the raised error, is depth 1's either way.
+        case = {
+            "n": 8, "q0": [-0.3, 0.6], "gain_f": 1.08, "gain_c": 1.01, "tilt": 1.2,
+            "conv": 0.3, "expl": 0.5, "k_max": None,
+        }
+        fine, coarse = _scripted_pair(case["gain_f"], case["gain_c"], case["tilt"], np.inf, np.inf)
+        seen = []
+
+        def recording(state, m):
+            seen.append((m, state.q.tobytes(), state.p.tobytes()))
+            return coarse(state, m)
+
+        _outcome(_scripted_run(case, fine, recording), 1)
+        # the depth-1 inputs at window 4: the bootstrap's, sweep 1's, sweep 2's
+        at_4 = [key for key in seen if key[0] == 4]
+        assert len(set(at_4)) == 3
+        if fails == "speculative row":
+            failing = lambda key: key not in seen  # noqa: E731
+        else:
+            failing = lambda key: key == at_4[2]  # noqa: E731
+
+        def strict(state, m):
+            if failing((m, state.q.tobytes(), state.p.tobytes())):
+                raise BlowUpError("coarse window left the range", substep=1)
+            return coarse(state, m)
+
+        reference = _outcome(_scripted_run(case, fine, strict), 1)
+        batches = []
+        real_rows = Scripted.rows
+
+        def rows(self, qs, ps, ms):
+            out = real_rows(self, qs, ps, ms)
+            if self._prop is strict:
+                batches.append((list(map(int, ms)), sorted(out[2])))
+            return out
+
+        monkeypatch.setattr(Scripted, "rows", rows)
+        assert _outcome(_scripted_run(case, fine, strict), 4, 1) == reference
+        # the step itself: sweep 3's row is the fourth, sweep 2's the third
+        assert ([6, 5, 4, 3], [3 if fails == "speculative row" else 2]) in batches
+        shown = reference[0]
+        if fails == "speculative row":
+            slab = shown[1][1][0]
+            assert slab.attempts == (SlabAttempt(8, 1), SlabAttempt(5, 1))
+        else:
+            assert shown[:2] == ("raised", BlowUpError)
+            assert shown[3:5] == (5, 2)  # window 5, iteration 2
+
     def test_depth_one_keeps_the_serial_call_sequence_on_arrays(self, monkeypatch):
         # at depth 1 the array path makes today's calls: one fine rows call
         # per iteration over its whole slab, and one coarse window at a time
@@ -1199,6 +1255,98 @@ class TestPipelineDepth:
         ]
         bootstrap = sum(30 - slab.n_init for slab in result.slabs)
         assert sum(one_calls.values()) == bootstrap + len(result.error_history)
+
+
+class TestBatchedNorm:
+    """``_norms``, the stacked matmul the wave's coarse steps take both norms
+    of every corrected row with, is :func:`_norm_array` row by row."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.integers(1, 64),
+        kinds=st.lists(st.sampled_from(["zero", "plain", "overflow"]), min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_norm_array(self, d, kinds, seed):
+        # rows of magnitudes 1e-150 to 1e150 with random signs and mantissas;
+        # zero rows; rows with one component whose square overflows to inf
+        gen = np.random.default_rng(seed)
+        x = gen.uniform(-10.0, 10.0, (len(kinds), d)) * 10.0 ** gen.integers(-150, 150, (len(kinds), d))
+        for row, kind in zip(x, kinds):
+            if kind == "zero":
+                row[:] = 0.0
+            elif kind == "overflow":
+                row[gen.integers(d)] = gen.uniform(1e155, 1e300)
+        with np.errstate(over="ignore"):
+            batched = _norms(x).tolist()
+            rows = [_norm_array(row) for row in x]
+        assert [v.hex() for v in batched] == [v.hex() for v in rows]
+
+
+class TestScheduleCounts:
+    """Exact ``PlanWindows.rows`` calls and rows of the wave, fine and coarse:
+    a schedule change that stalls followers again or speculates more shows
+    here first.  Results do not depend on these (``TestPipelineDepth``)."""
+
+    @staticmethod
+    def _counts(monkeypatch, pair, run):
+        counts = {id(pair.fine): [0, 0], id(pair.coarse): [0, 0]}
+        real_rows = PlanWindows.rows
+
+        def rows(self, qs, ps, ms):
+            side = counts[id(self._grad.__self__)]
+            side[0] += 1
+            side[1] += len(ms)
+            return real_rows(self, qs, ps, ms)
+
+        monkeypatch.setattr(PlanWindows, "rows", rows)
+        result = run()
+        return result, tuple(map(tuple, counts.values()))
+
+    @pytest.mark.parametrize(
+        "n, fine, coarse", [(40, (17, 416), (68, 452)), (200, (73, 5627), (288, 5677))]
+    )
+    def test_classic_lj7(self, monkeypatch, n, fine, coarse):
+        # the golden (40 windows) and the benchmark (200) classic-lj7 runs
+        from test_golden import HEXAGON_Q
+
+        params = LangevinParams(gamma=1.0, inv_beta=0.1, dt=0.005, substeps=2)
+        pair = PropagatorPair(
+            fine=LennardJonesCluster(n_atoms=7, space_dim=2),
+            coarse=LennardJonesCluster(n_atoms=7, space_dim=2, sigma=0.98),
+        )
+        config = PararealConfig(n_windows=n, delta_conv=1e-8)
+        plan = NoisePlan.for_windows(11, n)
+        result, counts = self._counts(
+            monkeypatch,
+            pair,
+            lambda: parareal_classic(
+                _state(HEXAGON_Q), pair, params, TemperatureSchedule.robust(2), plan, config
+            ),
+        )
+        assert result.slabs[0].k_conv == (8 if n == 40 else 23)
+        assert counts == (fine, coarse)
+
+    def test_near_two_iterations(self, monkeypatch):
+        # a 3-D double well whose coarse wells are 0.1% shallower: one slab
+        # of 2 iterations, where few followers look needed
+        a = [1.0, 1.2, 0.9]
+        pair = PropagatorPair(
+            fine=DoubleWell(a=a, b=[1.0, 1.1, 1.0]),
+            coarse=DoubleWell(a=[0.999 * x for x in a], b=[1.0, 1.1, 1.0]),
+        )
+        params = LangevinParams(gamma=0.5, inv_beta=0.4, dt=0.05, substeps=2)
+        config = PararealConfig(n_windows=200, delta_conv=1e-4, delta_expl=0.35)
+        plan = NoisePlan.for_windows(23, 200)
+        result, counts = self._counts(
+            monkeypatch,
+            pair,
+            lambda: parareal_adaptive(
+                _state([-1.0, 0.9, -0.8]), pair, params, TemperatureSchedule.robust(2), plan, config
+            ),
+        )
+        assert [slab.k_conv for slab in result.slabs] == [2]
+        assert counts == ((52, 596), (208, 792))
 
 
 # scripted pairs that never fail, from starts away from 0 (so no denominator
@@ -1357,6 +1505,11 @@ class TestFloatPathIsTheArrayPath:
                 "corrected state is not finite at window 5 (iteration 1)",
             ),
             (
+                dict(start="thermal", n=10, master=3, expl=0.35, poison=5),
+                BlowUpError,
+                "corrected state is not finite at window 6 (iteration 1)",
+            ),
+            (
                 dict(start="at-rest", n=6, master=1, expl=None),
                 DegenerateNormalizationError,
                 "all reference positions",
@@ -1367,7 +1520,10 @@ class TestFloatPathIsTheArrayPath:
                 "state left the trusted range",
             ),
         ],
-        ids=["cuts", "classic", "collapse", "non-finite-node", "zero-denominator", "fine-blow-up"],
+        ids=[
+            "cuts", "classic", "collapse", "non-finite-node", "non-finite-momentum",
+            "zero-denominator", "fine-blow-up",
+        ],
     )
     def test_every_outcome(self, case, expected, prefix):
         case = dict(dict(conv=1e-10, k_max=None, poison=None), **case)
