@@ -36,7 +36,7 @@ import numpy as np
 
 from .model import LangevinParams, PhaseState
 from .potentials import Free, Potential
-from .rng import NoisePlan, derive_seeds, gaussian_stream, gaussian_streams
+from .rng import derive_seeds, gaussian_stream, gaussian_streams
 
 #: any component beyond this magnitude aborts the window as a blow-up
 BLOWUP_LIMIT = 1e12
@@ -269,8 +269,8 @@ class PlanWindows:
     advances any set of windows in one batched kernel call.  Both are
     bitwise equal to :func:`propagate_window` with the plan's seed, and the
     noise comes from the plan's cache (:meth:`NoisePlan.noise`), scaled once
-    per plan.  On floats :meth:`one` is the kernel written out in one frame,
-    with the half-step factors formed once and ``pot._float_grad()``: a
+    per plan for all its potentials.  On floats :meth:`one` is the kernel
+    written out in one frame, with the half-step factors formed once: a
     double-well window of 2 substeps costs about 1.0 us in process, against
     1.9 us through the kernel's per-substep calls (2-vCPU host,
     BENCH_5.json).
@@ -281,23 +281,14 @@ class PlanWindows:
     predecessor (see :mod:`paralangevin.parareal`).
     """
 
-    def __init__(
-        self,
-        pot: Potential,
-        params: LangevinParams,
-        schedule: TemperatureSchedule,
-        plan: NoisePlan,
-        initial: PhaseState,
-        scalar: bool,
-    ) -> None:
-        _check_substeps(params, schedule)
-        d = initial.dim
-        mass = params.mass_vector(d)
+    def __init__(self, pot: Potential, params: LangevinParams, kicks: np.ndarray, scalar: bool) -> None:
+        """``kicks`` is the plan's amplitude-scaled noise, ``(n_windows, L + 1,
+        d)``, one read-only array shared by every potential on the plan."""
+        self._d = kicks.shape[2]
+        mass = params.mass_vector(self._d)
         self._grad = pot._grad
         self._gamma, self._dt = params.gamma, params.dt
-        self._d = d
-        noise = plan.noise((params.substeps + 1) * d).reshape(plan.n_windows, -1, d)
-        self._kicks = noise * _amplitudes(params, schedule, mass)
+        self._kicks = kicks
         self.scalar = scalar
         self.depth = 1 if scalar else _WAVE_DEPTH
         self.gap = _WAVE_GAP
@@ -307,11 +298,11 @@ class PlanWindows:
             # 0.5 * dt * x is (0.5 * dt) * x
             half_dt = 0.5 * self._dt
             self._float_window = (
-                pot._float_grad(), self._dt, self._mass, half_dt, half_dt * self._gamma,
+                self._grad, self._dt, self._mass, half_dt, half_dt * self._gamma,
                 -BLOWUP_LIMIT, BLOWUP_LIMIT,
             )
             self._substeps = range(1, params.substeps + 1)
-            self._float_kicks = self._kicks[:, :, 0].tolist()
+            self._float_kicks = kicks[:, :, 0].tolist()
         else:
             self._mass = mass
 
@@ -321,9 +312,14 @@ class PlanWindows:
         gradient keeps a float a float, else all on ``(d,)`` arrays."""
         for pot in pots:
             pot._check_q(initial.q)
+        _check_substeps(params, schedule)
         x = float(initial.q[0])
         scalar = initial.dim == 1 and all(type(pot._grad(x)) is float for pot in pots)
-        return [cls(pot, params, schedule, plan, initial, scalar) for pot in pots]
+        d = initial.dim
+        noise = plan.noise((params.substeps + 1) * d).reshape(plan.n_windows, -1, d)
+        kicks = noise * _amplitudes(params, schedule, params.mass_vector(d))
+        kicks.setflags(write=False)
+        return [cls(pot, params, kicks, scalar) for pot in pots]
 
     def raw(self, state: PhaseState):
         return (float(state.q[0]), float(state.p[0])) if self.scalar else (state.q, state.p)

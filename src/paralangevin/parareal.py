@@ -50,15 +50,17 @@ schedule:
   (d = 1), where a window costs about 1 us and a batched call about 70 us,
   and for plain callables; there each iteration makes one fine call over its
   whole slab and then sweeps it window by window, accounting for each
-  common node inline, as a batched step does.  On the array path they are
+  common node inline.  On the array path they are
   ``integrator._WAVE_DEPTH`` and ``integrator._WAVE_GAP``.
 * Followers start on evidence.  A follower starts only while more than half
   of the iterations in flight that gave evidence will almost surely be
   followed in a serial run: the bootstrap, a sweep that cut the slab, a
-  sweep whose running error already reached ``delta_conv``.  A sweep still
-  bit-identical to its predecessor gave none.  A slab that converges in a
-  few iterations thus keeps few in flight, and one that needs many fills
-  the depth.
+  sweep whose running error already reached ``delta_conv`` (the error
+  rarely falls along a sweep, as each node adds its own error to the sum).
+  A sweep still bit-identical to its predecessor, its running error exactly
+  0 however it will end, gave none.  A slab that converges in a few
+  iterations thus keeps few in flight, and one that needs many fills the
+  depth.
 * Speculation leaves no trace.  An iteration that a serial run would never
   start (its predecessor converged, reached ``iteration_cap`` or cut the
   slab short of its windows) is dropped with its work and its errors.
@@ -442,21 +444,22 @@ class _Sweep:
         return self.end if self.cut is None else self.cut
 
 
-def _leads(t, conv) -> bool:
-    """Whether a serial run will almost surely start the iteration after
-    ``t``: ``t`` is the bootstrap, cut the slab, or has a running error at
-    or above ``conv`` (the error rarely falls along a sweep, as each node
-    adds its own error to the sum)."""
-    return t.k == 0 or t.cut is not None or bool(t.deltas) and t.deltas[-1] >= conv
-
-
 def _most_lead(flight, conv) -> bool:
     """Whether more than half of the iterations in ``flight`` that gave
-    evidence lead.  A sweep on the prefix where it is bit-identical to its
-    predecessor, whose running error is exactly 0 however it will end, gave
-    none; the bootstrap and a sweep that cut the slab always did."""
-    votes = [_leads(t, conv) for t in flight if t.k == 0 or t.cut is not None or t.num != 0.0]
-    return 2 * sum(votes) > len(votes)
+    evidence lead (see the module docstring).  The bootstrap and a sweep
+    that cut the slab lead; a sweep with a nonzero running error leads when
+    it is at or above ``conv``; a sweep whose error is still exactly 0 has
+    not voted."""
+    lead = voters = 0
+    for t in flight:
+        if t.k == 0 or t.cut is not None:
+            lead += 1
+        elif t.num != 0.0:
+            lead += bool(t.deltas) and t.deltas[-1] >= conv
+        else:
+            continue
+        voters += 1
+    return 2 * lead > voters
 
 
 def _wave(q0, p0, n_init, n, fine, coarse, depth, gap, storage, cap, conv, expl, n_slab):
@@ -494,18 +497,19 @@ def _wave(q0, p0, n_init, n, fine, coarse, depth, gap, storage, cap, conv, expl,
     def converged(s) -> bool:
         return s.k > 0 and s.cut is None and s.pos == s.end and s.deltas[-1] < conv
 
-    def node(s, m, ok, step, x) -> bool:
+    def node(s, m, ok, n_step, n_x) -> bool:
         """Account for the corrected node ``m + 1`` of ``s``: ``ok`` if it is
-        finite, ``step`` its position minus the reference position ``x``.
-        False when the node crossed the threshold and cut the slab at ``m``."""
+        finite, ``n_step`` the norm of its position minus the reference
+        position, ``n_x`` the norm of the reference position.  False when the
+        node crossed the threshold and cut the slab at ``m``."""
         if not ok:
             raise BlowUpError(
                 f"corrected state is not finite at window {m + 1} (iteration {s.k})",
                 window=m + 1,
                 iteration=s.k,
             )
-        s.num += norm(step)
-        s.den += norm(x)
+        s.num += n_step
+        s.den += n_x
         if s.den == 0.0:
             raise DegenerateNormalizationError(
                 f"all reference positions on nodes {max(n_init, 1)}..{m + 1} are zero"
@@ -546,17 +550,17 @@ def _wave(q0, p0, n_init, n, fine, coarse, depth, gap, storage, cap, conv, expl,
                     gq[m], gp[m] = bq, bp
                     x = pq[m + 1]
                     step = nq - x
+                    n_step, n_x = sqrt(step * step), sqrt(x * x)  # _norm_float
                     ok = -inf < nq < inf and -inf < np_ < inf  # false for NaN
                     if ok:
-                        num = s.num + sqrt(step * step)  # _norm_float
-                        den = s.den + sqrt(x * x)
+                        num, den = s.num + n_step, s.den + n_x
                         if den != 0.0:
                             delta = num / den
                             if not delta > expl:
                                 s.num, s.den = num, den
                                 deltas.append(delta)
                                 continue
-                    if not node(s, m, ok, step, x):
+                    if not node(s, m, ok, n_step, n_x):
                         return
             else:
                 pq = s.prev.q
@@ -566,7 +570,7 @@ def _wave(q0, p0, n_init, n, fine, coarse, depth, gap, storage, cap, conv, expl,
                     p[m + 1] = np_ = bp + gp[m]
                     gq[m], gp[m] = bq, bp
                     x = pq[m + 1]
-                    if not node(s, m, _finite_array(nq, np_), nq - x, x):
+                    if not node(s, m, _finite_array(nq, np_), norm(nq - x), norm(x)):
                         return
             s.pos = hi
         except Exception as err:  # held until s is the oldest in flight
@@ -605,7 +609,7 @@ def _wave(q0, p0, n_init, n, fine, coarse, depth, gap, storage, cap, conv, expl,
     def coarse_stage(ready):
         """One coarse call over the current windows of ``ready`` (array
         path, oldest first), then their node updates in that order, with
-        both norms of every corrected row taken in one call."""
+        both norms of every corrected node taken in one call."""
         slot = np.array([t.slot for t in ready])
         ms = np.array([t.pos for t in ready])
         cq, cp, bad = coarse.rows(Q[slot, ms], P[slot, ms], ms)
@@ -621,30 +625,17 @@ def _wave(q0, p0, n_init, n, fine, coarse, depth, gap, storage, cap, conv, expl,
             Q[slot[0], ms[0] + 1], P[slot[0], ms[0] + 1] = cq[0], cp[0]
             ready[0].pos += 1
         Q[up], P[up] = nq, np_
-        step = nq - x
-        # no square overflows: windows keep every component within
-        # BLOWUP_LIMIT, and plain callables run at depth 1
-        norms = _norms(np.concatenate((step, x, np_))).tolist()
-        b, inf = len(x), math.inf
+        ok = (np.isfinite(nq).all(axis=1) & np.isfinite(np_).all(axis=1)).tolist()
+        norms = _norms(np.concatenate((nq - x, x))).tolist()
+        b = len(x)
         for i in range(boot, first):
             t, j = ready[i], i - boot
-            # node() inline for a common node: finite norms (the momentum's
-            # too), a nonzero denominator, not above expl; any other to node()
-            num, den = t.num + norms[j], t.den + norms[b + j]
-            if num < inf and 0.0 < den < inf and norms[2 * b + j] < inf:
-                delta = num / den
-                if not delta > expl:
-                    t.num, t.den = num, den
-                    t.deltas.append(delta)
-                    t.pos += 1
-                    if delta < conv and t.pos == t.end:
-                        after(t)  # converged: drops its followers
-                        return
-                    continue
             m = t.pos
             try:
-                if node(t, m, _finite_array(nq[j], np_[j]), step[j], x[j]):
+                if node(t, m, ok[j], norms[j], norms[b + j]):
                     t.pos = m + 1
+                    if t.pos < t.end:
+                        continue  # no error, no cut, not converged: after() has nothing to do
             except Exception as err:  # held until t is the oldest in flight
                 t.error = err
             if not after(t):
@@ -659,13 +650,12 @@ def _wave(q0, p0, n_init, n, fine, coarse, depth, gap, storage, cap, conv, expl,
         """Bookkeeping once ``t`` took a window: an error or convergence
         drops its followers (false: stop there); a cut shortens them."""
         nonlocal cut_k
-        younger = flight.index(t) + 1
         if t.error is not None or converged(t):
-            del flight[younger:]
+            del flight[flight.index(t) + 1 :]
             return False
         if t.cut is not None:
             cut_k = max(cut_k, t.k)
-            for u in flight[younger:]:
+            for u in flight[flight.index(t) + 1 :]:
                 u.end = min(u.end, t.cut)
         return True
 

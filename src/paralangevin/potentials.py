@@ -62,10 +62,6 @@ class Potential:
             return self.gradient(q)
         return np.array([self.gradient(row) for row in q])
 
-    def _float_grad(self):
-        """:meth:`_grad` of a float; elementwise potentials bind coefficients once."""
-        return self._grad
-
     def _check_q(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         if q.ndim != 1:
@@ -117,10 +113,6 @@ class Harmonic(Potential):
     def _grad(self, q):
         return self.k * q
 
-    def _float_grad(self):
-        k = self.k
-        return lambda q: k * q
-
 
 @dataclass(frozen=True)
 class DoubleWell(Potential):
@@ -144,6 +136,8 @@ class DoubleWell(Potential):
             raise ValueError("a and b have inconsistent dimensions")
         if dims:
             object.__setattr__(self, "dimension", dims.pop())
+        # 4 a q (q^2 - b) groups as (4 a) q (q^2 - b), so 4 a is bound once
+        object.__setattr__(self, "_a4", 4.0 * a)
 
     def energy(self, q) -> float:
         q = self._check_q(q)
@@ -154,11 +148,7 @@ class DoubleWell(Potential):
         return self._grad(self._check_q(q))
 
     def _grad(self, q):
-        return 4.0 * self.a * q * (q * q - self.b)
-
-    def _float_grad(self):
-        c, b = 4.0 * self.a, self.b  # (4.0 * a) * q * (q * q - b), as _grad
-        return lambda q: c * q * (q * q - b)
+        return self._a4 * q * (q * q - self.b)
 
 
 @dataclass(frozen=True)
