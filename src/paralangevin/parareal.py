@@ -626,6 +626,8 @@ def _wave(q0, p0, n_init, n, fine, coarse, depth, gap, storage, cap, conv, expl,
             ready[0].pos += 1
         Q[up], P[up] = nq, np_
         ok = (np.isfinite(nq).all(axis=1) & np.isfinite(np_).all(axis=1)).tolist()
+        # no square overflows: windows keep every component within
+        # BLOWUP_LIMIT, and plain callables run at depth 1
         norms = _norms(np.concatenate((nq - x, x))).tolist()
         b = len(x)
         for i in range(boot, first):
