@@ -199,14 +199,6 @@ def _check_substeps(params: LangevinParams, schedule: TemperatureSchedule) -> No
         )
 
 
-def _step_kernel(q, p, p_half_prev, grad_q, grad_fn, gamma, dt, mass, kick_l, kick_lp1):
-    p_half = p - 0.5 * dt * grad_q - 0.5 * dt * gamma * p_half_prev + kick_l
-    q1 = q + dt * (p_half / mass)
-    grad_q1 = grad_fn(q1)
-    p1 = p_half - 0.5 * dt * grad_q1 - 0.5 * dt * gamma * p_half + kick_lp1
-    return q1, p1, p_half, grad_q1
-
-
 def _window_kernel(q, p, grad_fn, gamma, dt, mass, kicks, after_substep):
     """Advance one window; ``q`` and ``p`` are ``(d,)`` rows or ``(B, d)`` rows.
 
@@ -214,15 +206,21 @@ def _window_kernel(q, p, grad_fn, gamma, dt, mass, kicks, after_substep):
     stacked rows; see :func:`_amplitudes`).  Every operation is elementwise
     per row, so a row of a stack is bitwise the row on its own.
     ``after_substep(q, p, l)`` runs after substep ``l`` (1-based).
+
+    The terms ``0.5 * dt * grad`` and ``0.5 * dt * gamma * p_half`` that close
+    substep ``l`` also open substep ``l + 1``, so each is formed once, as the
+    written-out products group it: ``(0.5 * dt) * x``.
     """
+    h = 0.5 * dt
+    hg = h * gamma
     # the opening substep's friction acts on the full-step momentum itself
-    p_half = p
-    grad_q = grad_fn(q)
-    for l in range(len(kicks) - 1):
-        q, p, p_half, grad_q = _step_kernel(
-            q, p, p_half, grad_q, grad_fn, gamma, dt, mass, kicks[l], kicks[l + 1]
-        )
-        after_substep(q, p, l + 1)
+    half_grad, half_fric = h * grad_fn(q), hg * p
+    for l in range(1, len(kicks)):
+        p_half = p - half_grad - half_fric + kicks[l - 1]
+        q = q + dt * (p_half / mass)
+        half_grad, half_fric = h * grad_fn(q), hg * p_half
+        p = p_half - half_grad - half_fric + kicks[l]
+        after_substep(q, p, l)
     return q, p
 
 
@@ -335,14 +333,13 @@ class PlanWindows:
         grad, dt, mass, h, hg, lo, hi = self._float_window
         kicks = self._float_kicks[m]
         kick = kicks[0]
-        p_half = p
-        g = grad(q)
+        half_grad, half_fric = h * grad(q), hg * p
         for l in self._substeps:
-            p_half = p - h * g - hg * p_half + kick
+            p_half = p - half_grad - half_fric + kick
             q = q + dt * (p_half / mass)
-            g = grad(q)
+            half_grad, half_fric = h * grad(q), hg * p_half
             kick = kicks[l]
-            p = p_half - h * g - hg * p_half + kick
+            p = p_half - half_grad - half_fric + kick
             # false for NaN and inf, as abs(q) <= BLOWUP_LIMIT is
             if not (lo <= q <= hi and lo <= p <= hi):
                 raise _blow_up(l)
@@ -357,9 +354,10 @@ class PlanWindows:
         such rows carry no usable state.  Nothing is raised.
         """
         b = len(ms)
-        # the kernel never writes its inputs, so a fresh gather needs no copy
-        q = np.asarray(qs, dtype=float).reshape(b, self._d)
-        p = np.asarray(ps, dtype=float).reshape(b, self._d)
+        # the kernel never writes its inputs, so only strided views (the
+        # wave's packed rows) are copied: an operation on them costs about 2x
+        q = np.ascontiguousarray(qs, dtype=float).reshape(b, self._d)
+        p = np.ascontiguousarray(ps, dtype=float).reshape(b, self._d)
         first_bad = np.zeros(b, dtype=np.int64)
         # consecutive windows are a view, so they cost no copy
         if isinstance(ms, range):

@@ -76,7 +76,9 @@ row by row), or as :class:`~paralangevin.integrator.PlanWindows`.  The
 shared noise plan (fine and coarse consume the same seed for the same
 window, at every iteration), on Python floats (d = 1) or raw arrays.  No
 ``PhaseState`` is built inside the loop; the trajectory is built once at the
-end, from the node storage in one call.
+end, from the node storage in one call.  On the array path that storage is
+two packed tables whose rows hold ``q`` then ``p`` (:func:`_storage`): the
+batched stages gather and scatter whole rows, the per-row code reads views.
 """
 
 from __future__ import annotations
@@ -252,10 +254,6 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
 
 
-def _finite_array(q: np.ndarray, p: np.ndarray) -> bool:
-    return bool(np.isfinite(q).all() and np.isfinite(p).all())
-
-
 def relative_error(a, b, n_init: int, n_final: int) -> float:
     """Relative position error of iterate ``b`` against iterate ``a``.
 
@@ -389,9 +387,12 @@ def _close_attempt(attempts, n_init, n_final, iterations):
 
 
 def _storage(scalar: bool, n_slots: int, n: int, d: int):
-    """Storage allocated once per run, as lists of floats on the float path
-    and arrays otherwise: nodes ``0..n`` (q, p) of ``n_slots`` iterates, and
-    one value per window ``0..n-1`` (q, p) that the iterations share.
+    """Storage allocated once per run, ``(X, G)``: nodes ``0..n`` of
+    ``n_slots`` iterates, and one value per window ``0..n-1`` that the
+    iterations share.  On the array path they are packed tables, ``(n_slots,
+    n + 1, 2d)`` and ``(n, 2d)``, each row ``q`` then ``p``, and the per-row
+    code reads ``q`` and ``p`` as views; on the float path each is a pair
+    ``(q, p)`` of lists of floats.
 
     Window m's shared value is G(U_m) of the last iteration to take window
     m, until the fine stage of the next one turns it into that one's jump
@@ -400,14 +401,8 @@ def _storage(scalar: bool, n_slots: int, n: int, d: int):
     one value per window suffices.
     """
     if scalar:
-        return (
-            [[None] * (n + 1) for _ in range(n_slots)], [[None] * (n + 1) for _ in range(n_slots)],
-            [None] * n, [None] * n,
-        )
-    return (
-        np.empty((n_slots, n + 1, d)), np.empty((n_slots, n + 1, d)),
-        np.empty((n, d)), np.empty((n, d)),
-    )
+        return [[[None] * (n + 1) for _ in range(n_slots)] for _ in "qp"], [[None] * n for _ in "qp"]
+    return np.empty((n_slots, n + 1, 2 * d)), np.empty((n, 2 * d))
 
 
 class _Sweep:
@@ -467,11 +462,11 @@ def _wave(q0, p0, n_init, n, fine, coarse, depth, gap, storage, cap, conv, expl,
     first, each once its sweep is done; see the module docstring.
 
     Up to ``depth`` iterations are in flight, iteration ``k`` in node slot
-    ``k % len(storage[0])`` (see :func:`_storage`).  A step starts at most
-    one follower, makes at most one fine call (when a follower has run out
-    of jumps; it gives every follower the jumps of all windows its
-    predecessor has reached), then one coarse call over the current windows
-    of all ready iterations, oldest first.  A follower starts ``gap``
+    ``k`` modulo the slots (:func:`_storage`).  A step starts at most one
+    follower, makes at most one fine call (when a follower has run out of
+    jumps; it gives every follower the jumps of all windows its predecessor
+    has reached), then one coarse call over the current windows of all
+    ready iterations, oldest first.  A follower starts ``gap``
     windows behind its predecessor, and only while ``cap`` lets it run and
     most iterations in flight that gave evidence lead (:func:`_most_lead`);
     an iteration's error or convergence drops its followers, which no
@@ -481,7 +476,10 @@ def _wave(q0, p0, n_init, n, fine, coarse, depth, gap, storage, cap, conv, expl,
     scalar = coarse.scalar
     norm = _norm_float if scalar else _norm_array
     one = coarse.one
-    Q, P, GQ, GP = storage
+    X, G = storage
+    d = None if scalar else X.shape[2] // 2
+    # the per-row code reads q and p as views of the packed rows on the array path
+    (Q, P), (GQ, GP) = (X, G) if scalar else ((X[..., :d], X[..., d:]), (G[:, :d], G[:, d:]))
 
     def start(k, prev, end):
         slot = k % len(Q)
@@ -563,14 +561,13 @@ def _wave(q0, p0, n_init, n, fine, coarse, depth, gap, storage, cap, conv, expl,
                     if not node(s, m, ok, n_step, n_x):
                         return
             else:
-                pq = s.prev.q
+                pq, nodes = s.prev.q, X[s.slot]
                 for m in range(s.pos, hi):
-                    bq, bp = one(q[m], p[m], m)
-                    q[m + 1] = nq = bq + gq[m]  # the jump, replaced by G(U_m) next
-                    p[m + 1] = np_ = bp + gp[m]
-                    gq[m], gp[m] = bq, bp
+                    c = np.concatenate(one(q[m], p[m], m))
+                    nodes[m + 1] = nx = c + G[m]  # the jump, replaced by G(U_m) next
+                    G[m] = c
                     x = pq[m + 1]
-                    if not node(s, m, _finite_array(nq, np_), norm(nq - x), norm(x)):
+                    if not node(s, m, np.isfinite(nx).all(), norm(nx[:d] - x), norm(x)):
                         return
             s.pos = hi
         except Exception as err:  # held until s is the oldest in flight
@@ -589,13 +586,13 @@ def _wave(q0, p0, n_init, n, fine, coarse, depth, gap, storage, cap, conv, expl,
             GQ[a : a + first] = [f - g for f, g in zip(fq, GQ[a : a + first])]
             GP[a : a + first] = [f - g for f, g in zip(fp, GP[a : a + first])]
         else:
-            slot = np.repeat([s.prev.slot for s, _, _ in requests], [b - a for _, a, b in requests])
-            ms = np.concatenate([np.arange(a, b) for _, a, b in requests])
-            fq, fp, bad = fine.rows(Q[slot, ms], P[slot, ms], ms)
+            slot = [s.prev.slot for s, a, b in requests for _ in range(a, b)]
+            ms = [m for _, a, b in requests for m in range(a, b)]
+            u = X[slot, ms]
+            fq, fp, bad = fine.rows(u[:, :d], u[:, d:], ms)
             first = min(bad, default=len(ms))
             ms = ms[:first]
-            GQ[ms] = fq[:first] - GQ[ms]
-            GP[ms] = fp[:first] - GP[ms]
+            G[ms] = np.concatenate((fq[:first], fp[:first]), axis=1) - G[ms]
         i = 0
         for r, (s, a, b) in enumerate(requests):
             s.jumps = a + min(b - a, first - i)
@@ -612,23 +609,24 @@ def _wave(q0, p0, n_init, n, fine, coarse, depth, gap, storage, cap, conv, expl,
         both norms of every corrected node taken in one call."""
         slot = np.array([t.slot for t in ready])
         ms = np.array([t.pos for t in ready])
-        cq, cp, bad = coarse.rows(Q[slot, ms], P[slot, ms], ms)
+        u = X[slot, ms]
+        cq, cp, bad = coarse.rows(u[:, :d], u[:, d:], ms)
         first = min(bad, default=len(ready))
+        c = np.concatenate((cq[:first], cp[:first]), axis=1)
         boot = ready[0].prev is None  # the bootstrap, when in flight, is the oldest
         up = slot[boot:first], ms[boot:first] + 1  # nodes the corrected rows set
         prev = np.array([t.prev.slot for t in ready[boot:first]], dtype=np.int64)
-        nq = cq[boot:first] + GQ[ms[boot:first]]
-        np_ = cp[boot:first] + GP[ms[boot:first]]
-        x = Q[prev, up[1]]
-        GQ[ms[:first]], GP[ms[:first]] = cq[:first], cp[:first]
+        nx = c[boot:] + G[ms[boot:first]]
+        x = X[prev, up[1], :d]
+        G[ms[:first]] = c
         if boot and first:
-            Q[slot[0], ms[0] + 1], P[slot[0], ms[0] + 1] = cq[0], cp[0]
+            X[slot[0], ms[0] + 1] = c[0]
             ready[0].pos += 1
-        Q[up], P[up] = nq, np_
-        ok = (np.isfinite(nq).all(axis=1) & np.isfinite(np_).all(axis=1)).tolist()
+        X[up] = nx
+        ok = np.isfinite(nx).all(axis=1).tolist()
         # no square overflows: windows keep every component within
         # BLOWUP_LIMIT, and plain callables run at depth 1
-        norms = _norms(np.concatenate((nq - x, x))).tolist()
+        norms = _norms(np.concatenate((nx[:, :d] - x, x))).tolist()
         b = len(x)
         for i in range(boot, first):
             t, j = ready[i], i - boot

@@ -148,28 +148,46 @@ def _free_variance_oracle(params, schedule):
 # single steps
 
 
-def _substep(state, p_half_prev, pot, params, c_l, c_lp1, g_l, g_lp1):
-    """One substep through the integrator's step kernel.
+class _HalfSteps:
+    """A mass that records every half-step momentum the kernel divides by it."""
 
-    An opening substep passes ``p_half_prev = state.p``, so its friction acts
-    on the full-step momentum.  Returns the new state and the half-step
-    momentum that the next substep takes as ``p_half_prev``.
+    __array_ufunc__ = None  # ndarray / _HalfSteps defers to __rtruediv__
+
+    def __init__(self, mass):
+        self.mass, self.p_half = mass, []
+
+    def __rtruediv__(self, p_half):
+        self.p_half.append(np.copy(p_half))
+        return p_half / self.mass
+
+
+def _substeps(state, pot, params, coefficients, blocks):
+    """One window through the integrator's window kernel, substep by substep.
+
+    ``blocks[l]`` is Gaussian block ``l``, scaled by the amplitude of weight
+    ``coefficients[l]``; the window has ``len(blocks) - 1`` substeps.
+    Returns ``(state, p_half)`` after each substep, the state read by the
+    ``after_substep`` hook.  A mid-window step is substep 2 or later: its
+    friction acts on the half-step momentum of the substep before.
     """
     mass = params.mass_vector(state.dim)
     sqrt_m = np.sqrt(mass)
-    q1, p1, p_half, _ = integrator_module._step_kernel(
-        state.q,
-        state.p,
-        np.asarray(p_half_prev, dtype=float),
-        pot.gradient(state.q),
-        pot.gradient,
-        params.gamma,
-        params.dt,
-        mass,
-        integrator_module._amplitude(params, c_l) * sqrt_m * np.asarray(g_l, dtype=float),
-        integrator_module._amplitude(params, c_lp1) * sqrt_m * np.asarray(g_lp1, dtype=float),
+    kicks = [
+        integrator_module._amplitude(params, c) * sqrt_m * np.asarray(g, dtype=float)
+        for c, g in zip(coefficients, blocks)
+    ]
+    half_steps = _HalfSteps(mass)
+    states = []
+
+    def after_substep(q, p, l):
+        assert l == len(states) + 1
+        states.append(PhaseState(q=q, p=p))
+
+    integrator_module._window_kernel(
+        state.q, state.p, pot.gradient, params.gamma, params.dt, half_steps, kicks,
+        after_substep,
     )
-    return PhaseState(q=q1, p=p1), p_half
+    return list(zip(states, half_steps.p_half, strict=True))
 
 
 class TestBBKSteps:
@@ -177,9 +195,7 @@ class TestBBKSteps:
         # harmonic k=1, gamma=0, inv_beta=0, q0=1, p0=0, dt=0.1
         params = LangevinParams(gamma=0.0, inv_beta=0.0, dt=0.1)
         state = PhaseState(q=[1.0], p=[0.0])
-        new, p_half = _substep(
-            state, state.p, Harmonic(k=1.0), params, 1.0, 1.0, np.zeros(1), np.zeros(1)
-        )
+        ((new, p_half),) = _substeps(state, Harmonic(k=1.0), params, (1.0, 1.0), np.zeros((2, 1)))
         assert p_half[0] == pytest.approx(-0.05, rel=1e-14)
         assert new.q[0] == pytest.approx(0.995, rel=1e-14)
         assert new.p[0] == pytest.approx(-0.09975, rel=1e-14)
@@ -189,18 +205,20 @@ class TestBBKSteps:
         state = PhaseState(q=[2.0, -1.0], p=[0.5, 0.25])
         # nonzero variates must not matter: the amplitude is exactly zero
         g = np.array([1.3, -0.7])
-        new, p_half = _substep(state, state.p, Free(), params, 1.0, 1.0, g, g)
+        ((new, p_half),) = _substeps(state, Free(), params, (1.0, 1.0), [g, g])
         assert np.array_equal(new.p, state.p)
         assert np.array_equal(p_half, state.p)
         assert np.array_equal(new.q, state.q + 0.125 * state.p)
 
     def test_step_free_streaming(self):
-        params = LangevinParams(gamma=0.0, inv_beta=0.0, dt=0.125)
+        # substep 2 of an L = 2 window: a mid-window step
+        params = LangevinParams(gamma=0.0, inv_beta=0.0, dt=0.125, substeps=2)
         state = PhaseState(q=[2.0], p=[0.5])
         g = np.array([0.9])
-        new, p_half = _substep(state, state.p, Free(), params, 1.0, 1.0, g, g)
+        (mid, _), (new, _) = _substeps(state, Free(), params, (1.0, 1.0, 1.0), [g, g, g])
+        assert np.array_equal(mid.p, state.p)
         assert np.array_equal(new.p, state.p)
-        assert np.array_equal(new.q, state.q + 0.125 * state.p)
+        assert np.array_equal(new.q, mid.q + 0.125 * mid.p)
 
     def test_first_step_matches_transcription(self):
         params = LangevinParams(gamma=1.0, inv_beta=1.0, dt=0.1)
@@ -208,7 +226,7 @@ class TestBBKSteps:
         state = PhaseState(q=[1.0, -0.5, 0.25], p=[0.3, 0.0, -0.8])
         g0 = np.full(3, 1.0)
         g1 = np.full(3, 1.0)
-        new, p_half = _substep(state, state.p, pot, params, 1.0, 1.0, g0, g1)
+        ((new, p_half),) = _substeps(state, pot, params, (1.0, 1.0), [g0, g1])
         q_ref, p_ref, ph_ref = _oracle_first(
             state.q, state.p, pot.gradient, 1.0, 1.0, 0.1, np.ones(3), 1.0, 1.0, g0, g1
         )
@@ -217,16 +235,26 @@ class TestBBKSteps:
         np.testing.assert_allclose(p_half, ph_ref, rtol=1e-15)
 
     def test_step_matches_transcription_with_weights_and_mass(self):
+        # substep 2 of an L = 2 window, weights C_1 = 3 and C_2 = 1; its
+        # p_half_prev is the half-step momentum of substep 1
         mass = np.array([1.0, 2.5])
-        params = LangevinParams(gamma=0.7, inv_beta=2.0, dt=0.05, mass=mass)
+        params = LangevinParams(gamma=0.7, inv_beta=2.0, dt=0.05, mass=mass, substeps=2)
         pot = DoubleWell(a=1.0, b=1.0)
         state = PhaseState(q=[0.4, -1.2], p=[0.1, 0.6])
-        p_half_prev = np.array([0.05, 0.55])
+        g0 = np.array([0.5, -0.4])
         g_l = np.array([0.3, -1.1])
         g_lp1 = np.array([-0.2, 0.8])
-        new, p_half = _substep(state, p_half_prev, pot, params, 3.0, 1.0, g_l, g_lp1)
+        (mid, p_half_prev), (new, p_half) = _substeps(
+            state, pot, params, (2.0, 3.0, 1.0), [g0, g_l, g_lp1]
+        )
+        q1, p1, ph1 = _oracle_first(
+            state.q, state.p, pot.gradient, 0.7, 2.0, 0.05, mass, 2.0, 3.0, g0, g_l
+        )
+        np.testing.assert_allclose(mid.q, q1, rtol=1e-15)
+        np.testing.assert_allclose(mid.p, p1, rtol=1e-15)
+        np.testing.assert_allclose(p_half_prev, ph1, rtol=1e-15)
         q_ref, p_ref, ph_ref = _oracle_step(
-            state.q, state.p, p_half_prev, pot.gradient,
+            mid.q, mid.p, p_half_prev, pot.gradient,
             0.7, 2.0, 0.05, mass, 3.0, 1.0, g_l, g_lp1,
         )
         np.testing.assert_allclose(new.q, q_ref, rtol=1e-15)
@@ -240,10 +268,10 @@ class TestBBKSteps:
         params = LangevinParams(gamma=gamma, inv_beta=1.0, dt=dt, substeps=2)
         pot = Harmonic(k=1.0)
         q0, p0 = np.array([1.0]), np.array([0.5])
-        z = np.zeros(1)
 
-        s1, ph1 = _substep(PhaseState(q=q0, p=p0), p0, pot, params, 1.0, 1.0, z, z)
-        s2, _ = _substep(s1, ph1, pot, params, 1.0, 1.0, z, z)
+        _, (s2, _) = _substeps(
+            PhaseState(q=q0, p=p0), pot, params, (1.0, 1.0, 1.0), np.zeros((3, 1))
+        )
 
         ph = p0 - 0.5 * dt * q0 - 0.5 * dt * gamma * p0
         q1 = q0 + dt * ph
@@ -271,9 +299,7 @@ class TestPropagateWindow:
         state = PhaseState(q=[0.2, -0.4], p=[1.0, 0.3])
         seed = derive_seed(11, 1)
         g = gaussian_stream(seed, 2 * state.dim).reshape(2, state.dim)
-        expected, _ = _substep(
-            state, state.p, Harmonic(k=1.0), params, 1.0, 1.0, g[0], g[1]
-        )
+        ((expected, _),) = _substeps(state, Harmonic(k=1.0), params, (1.0, 1.0), g)
         out = propagate_window(
             state, Harmonic(k=1.0), params, TemperatureSchedule.identity(1), seed
         )
@@ -333,43 +359,71 @@ class TestPropagateWindow:
     def test_noise_blocks_consumed_in_order_and_reused(self, monkeypatch):
         """Block l must close substep l and reopen substep l+1 with the same
         amplitude; exactly one stream of (L+1)*d variates is drawn."""
-        calls = []
+        kernels = []
+        reads = []
         streams = []
-        real_step = integrator_module._step_kernel
+        real_kernel = integrator_module._window_kernel
         real_stream = integrator_module.gaussian_stream
 
-        def spy_step(q, p, p_half, grad_q, grad_fn, gamma, dt, mass, kick_l, kick_lp1):
-            calls.append((np.copy(p_half), np.copy(kick_l), np.copy(kick_lp1)))
-            return real_step(q, p, p_half, grad_q, grad_fn, gamma, dt, mass, kick_l, kick_lp1)
+        class Blocks:
+            """The window's kicks, recording every block the kernel reads."""
+
+            def __init__(self, kicks):
+                self.kicks = kicks
+
+            def __len__(self):
+                return len(self.kicks)
+
+            def __getitem__(self, l):
+                reads.append(("block", l))
+                return self.kicks[l]
+
+        def spy_kernel(q, p, grad_fn, gamma, dt, mass, kicks, after_substep):
+            half_steps = _HalfSteps(mass)
+            kernels.append((np.copy(kicks), half_steps))
+
+            def after(q, p, l):
+                reads.append(("substep", l))
+                after_substep(q, p, l)
+
+            return real_kernel(q, p, grad_fn, gamma, dt, half_steps, Blocks(kicks), after)
 
         def spy_stream(seed, count):
             streams.append((seed, count))
             return real_stream(seed, count)
 
-        monkeypatch.setattr(integrator_module, "_step_kernel", spy_step)
+        monkeypatch.setattr(integrator_module, "_window_kernel", spy_kernel)
         monkeypatch.setattr(integrator_module, "gaussian_stream", spy_stream)
 
         n_sub, d, seed = 4, 2, derive_seed(8, 2)
         params = _window_params(substeps=n_sub, mass=np.array([1.0, 3.0]))
         sched = TemperatureSchedule.robust(n_sub)
         start = PhaseState(q=[0.1, 0.2], p=[0.4, -0.3])
-        propagate_window(start, Harmonic(k=1.0), params, sched, seed)
+        pot = Harmonic(k=1.0)
+        propagate_window(start, pot, params, sched, seed)
 
         assert streams == [(seed, (n_sub + 1) * d)]
         blocks = gaussian_stream(seed, (n_sub + 1) * d).reshape(n_sub + 1, d)
-        assert len(calls) == n_sub
-        # the opening substep's friction acts on the start momentum itself
-        assert np.array_equal(calls[0][0], start.p)
+        ((kicks, half_steps),) = kernels
         sqrt_m = np.sqrt(params.mass_vector(d))
         amps = [integrator_module._amplitude(params, c) * sqrt_m for c in sched.coefficients]
-        for l, (_, kick_open, kick_close) in enumerate(calls):
+        for l in range(n_sub + 1):
             # kick l is block l times its amplitude, one multiply per component
-            assert np.array_equal(kick_open, amps[l] * blocks[l])
-            assert np.array_equal(kick_close, amps[l + 1] * blocks[l + 1])
-            if l > 0:
-                # reused block: the same kick as the closing half-kick of
-                # the previous substep
-                assert np.array_equal(kick_open, calls[l - 1][2])
+            assert np.array_equal(kicks[l], amps[l] * blocks[l])
+        # substep l opens with block l - 1 and closes with block l, so every
+        # interior block closes one substep and reopens the next
+        assert reads == [
+            event
+            for l in range(1, n_sub + 1)
+            for event in (("block", l - 1), ("block", l), ("substep", l))
+        ]
+        assert len(half_steps.p_half) == n_sub
+        # the opening substep's friction acts on the start momentum itself
+        dt, gamma = params.dt, params.gamma
+        assert np.array_equal(
+            half_steps.p_half[0],
+            start.p - 0.5 * dt * pot.gradient(start.q) - 0.5 * dt * gamma * start.p + kicks[0],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +757,16 @@ _BATCH_CASES = {
 }
 
 
+# array-path cases (d > 1) for the column views of the wave's packed tables
+_PACKED_CASES = {
+    name: _BATCH_CASES[name]
+    for name in ("lj7", "lj3-3d", "double-well-vector", "gradient-only")
+}
+_PACKED_CASES["perturbed-vector"] = (
+    Perturbed(base=DoubleWell(a=[1.0, 0.6], b=[1.0, 2.0]), delta=Harmonic(k=1.0), lam=0.3), 2, 1.5
+)
+
+
 def _centre(name, d):
     if name == "lj7":
         return _HEXAGON
@@ -755,6 +819,42 @@ class TestPlanWindows:
             q1, p1 = windows.one(*raw[i], ms[i])
             assert _window_bytes(q1, p1) == _window_bytes(ref.q, ref.p)
             assert PhaseState(q=np.atleast_1d(q1), p=np.atleast_1d(p1)) == ref
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_PACKED_CASES)),
+        n_sub=st.integers(1, 3),
+        master=st.integers(0, 2**64 - 1),
+        slots=st.lists(st.integers(0, 2), min_size=1, max_size=6),
+        data=st.data(),
+    )
+    def test_rows_on_packed_column_views_equal_rows_on_copies(self, name, n_sub, master, slots, data):
+        """The wave gathers whole rows, q then p, from a packed ``(slots,
+        nodes, 2d)`` table and hands ``rows`` their column views, whose row
+        stride is 2d; the result bytes must be those of contiguous rows."""
+        pot, d, scale = _PACKED_CASES[name]
+        params = LangevinParams(gamma=0.7, inv_beta=0.5, dt=0.01, substeps=n_sub)
+        schedule = TemperatureSchedule.robust(n_sub)
+        b = len(slots)
+        plan = NoisePlan.for_windows(master, b)
+        floats = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=d, max_size=d)
+        table = np.zeros((3, b, 2 * d))
+        for i, slot in enumerate(slots):
+            table[slot, i, :d] = _centre(name, d) + scale * np.array(data.draw(floats))
+            table[slot, i, d:] = data.draw(floats)
+        packed = table[slots, np.arange(b)]  # one gather, as the wave's stages make it
+        q, p = packed[:, :d], packed[:, d:]
+        assert q.strides[0] == p.strides[0] == 2 * d * packed.itemsize
+        ms = data.draw(st.lists(st.integers(0, b - 1), min_size=b, max_size=b))
+        (windows,) = PlanWindows.for_potentials(
+            [pot], params, schedule, plan, PhaseState(q=q[0], p=p[0])
+        )
+        assert not windows.scalar
+        got_q, got_p, bad = windows.rows(q, p, ms)
+        ref_q, ref_p, ref_bad = windows.rows(q.copy(), p.copy(), ms)
+        assert got_q.tobytes() == ref_q.tobytes()
+        assert got_p.tobytes() == ref_p.tobytes()
+        assert {i: str(e) for i, e in bad.items()} == {i: str(e) for i, e in ref_bad.items()}
 
     def test_float_path_only_where_every_gradient_keeps_floats(self):
         params = LangevinParams(gamma=0.5, inv_beta=0.4, dt=0.05, substeps=2)
