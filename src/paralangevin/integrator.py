@@ -47,8 +47,8 @@ _NOISE_BLOCK_ROWS = 256
 #: parareal iterations in flight on the array path, at most; the engine
 #: starts fewer when few look needed (see :mod:`paralangevin.parareal`).  A
 #: batched call costs a fixed part plus a part per row: LJ-7 coarse, L = 2,
-#: one serial window 65 us, 1, 8, 24 and 64 rows 75, 90, 116 and 156 us (its
-#: gradient 22 us plus 0.3 us a row); 3-D double well 26 us, and 32 to 43 us
+#: one serial window 62 us, 1, 8, 24 and 64 rows 65, 82, 103 and 155 us (its
+#: gradient 15 us plus 0.45 us a row); 3-D double well 22 us, and 27 to 35 us
 #: for 1 to 64 rows (in process, 2-vCPU host).  So a row in a call of 24
 #: costs 0.07 of a serial window or less, and the cap mainly bounds the
 #: storage, depth + 1 iterates of (N + 1, d) each; only slabs of more than
@@ -204,7 +204,9 @@ def _window_kernel(q, p, grad_fn, gamma, dt, mass, kicks, after_substep):
 
     ``kicks[l]`` is the amplitude-scaled Gaussian block ``l`` (``(B, d)`` for
     stacked rows; see :func:`_amplitudes`).  Every operation is elementwise
-    per row, so a row of a stack is bitwise the row on its own.
+    per row, so a row of a stack is bitwise the row on its own.  ``mass``
+    None means unit masses: the position update then skips ``p_half / mass``,
+    which with a mass of 1.0 returns ``p_half`` bit for bit.
     ``after_substep(q, p, l)`` runs after substep ``l`` (1-based).
 
     The terms ``0.5 * dt * grad`` and ``0.5 * dt * gamma * p_half`` that close
@@ -217,7 +219,7 @@ def _window_kernel(q, p, grad_fn, gamma, dt, mass, kicks, after_substep):
     half_grad, half_fric = h * grad_fn(q), hg * p
     for l in range(1, len(kicks)):
         p_half = p - half_grad - half_fric + kicks[l - 1]
-        q = q + dt * (p_half / mass)
+        q = q + dt * (p_half if mass is None else p_half / mass)
         half_grad, half_fric = h * grad_fn(q), hg * p_half
         p = p_half - half_grad - half_fric + kicks[l]
         after_substep(q, p, l)
@@ -280,8 +282,10 @@ class PlanWindows:
     """
 
     def __init__(self, pot: Potential, params: LangevinParams, kicks: np.ndarray, scalar: bool) -> None:
-        """``kicks`` is the plan's amplitude-scaled noise, ``(n_windows, L + 1,
-        d)``, one read-only array shared by every potential on the plan."""
+        """``kicks`` is the plan's amplitude-scaled noise, laid out substep
+        major, ``(L + 1, n_windows, d)``, one read-only array shared by every
+        potential on the plan: block ``l`` of any set of windows is then one
+        contiguous ``(B, d)`` gather."""
         self._d = kicks.shape[2]
         mass = params.mass_vector(self._d)
         self._grad = pot._grad
@@ -300,14 +304,15 @@ class PlanWindows:
                 -BLOWUP_LIMIT, BLOWUP_LIMIT,
             )
             self._substeps = range(1, params.substeps + 1)
-            self._float_kicks = kicks[:, :, 0].tolist()
+            self._float_kicks = kicks[:, :, 0].T.tolist()
         else:
-            self._mass = mass
+            self._mass = params.mass  # None: unit masses, no division
 
     @classmethod
     def for_potentials(cls, pots, params, schedule, plan, initial) -> list["PlanWindows"]:
         """One per potential, on Python floats when d = 1 and every raw
-        gradient keeps a float a float, else all on ``(d,)`` arrays."""
+        gradient keeps a float a float, else all on ``(d,)`` arrays, sharing
+        one array of the plan's kicks, substep major (see :meth:`__init__`)."""
         for pot in pots:
             pot._check_q(initial.q)
         _check_substeps(params, schedule)
@@ -316,6 +321,7 @@ class PlanWindows:
         d = initial.dim
         noise = plan.noise((params.substeps + 1) * d).reshape(plan.n_windows, -1, d)
         kicks = noise * _amplitudes(params, schedule, params.mass_vector(d))
+        kicks = np.ascontiguousarray(kicks.swapaxes(0, 1))  # substep major
         kicks.setflags(write=False)
         return [cls(pot, params, kicks, scalar) for pot in pots]
 
@@ -326,7 +332,7 @@ class PlanWindows:
         """Window ``m`` (0-based) from raw ``(q, p)``; raises at the first bad substep."""
         if not self.scalar:
             return _window_kernel(
-                q, p, self._grad, self._gamma, self._dt, self._mass, self._kicks[m],
+                q, p, self._grad, self._gamma, self._dt, self._mass, self._kicks[:, m],
                 _check_bounded,
             )
         # _window_kernel on floats in one frame, operation for operation
@@ -358,31 +364,34 @@ class PlanWindows:
         # wave's packed rows) are copied: an operation on them costs about 2x
         q = np.ascontiguousarray(qs, dtype=float).reshape(b, self._d)
         p = np.ascontiguousarray(ps, dtype=float).reshape(b, self._d)
-        first_bad = np.zeros(b, dtype=np.int64)
+        first_bad = None
         # consecutive windows are a view, so they cost no copy
         if isinstance(ms, range):
-            kicks = self._kicks[ms.start : ms.stop]
+            kicks = self._kicks[:, ms.start : ms.stop]
         else:
-            kicks = self._kicks.take(ms, axis=0)
+            kicks = self._kicks.take(ms, axis=1)
 
         def mark(q, p, substep):
-            # one test for the whole stack; max propagates NaN, and NaN <= x
-            # is False.  The rows are looked at only when one of them failed.
+            # one test for the whole stack after every substep; maximum
+            # propagates NaN, and NaN <= x is False.  The rows are looked at
+            # only when one of them failed.
+            nonlocal first_bad
             worst = np.abs(q)
             np.maximum(worst, np.abs(p), out=worst)
-            if not worst.max(initial=0.0) <= BLOWUP_LIMIT:
+            if not np.maximum.reduce(worst, axis=None, initial=0.0) <= BLOWUP_LIMIT:
+                if first_bad is None:
+                    first_bad = np.zeros(b, dtype=np.int64)
                 ok = worst.max(axis=1) <= BLOWUP_LIMIT
                 first_bad[~ok & (first_bad == 0)] = substep
 
         # rows that blew up keep running to the window end; silence their overflow
         with np.errstate(all="ignore"):
-            q, p = _window_kernel(
-                q, p, self._grad, self._gamma, self._dt, self._mass, kicks.swapaxes(0, 1), mark
-            )
+            q, p = _window_kernel(q, p, self._grad, self._gamma, self._dt, self._mass, kicks, mark)
         bad = {}
-        for i in np.flatnonzero(first_bad).tolist():
-            bad[i] = err = _blow_up(int(first_bad[i]))
-            err.window = int(ms[i]) + 1
+        if first_bad is not None:
+            for i in np.flatnonzero(first_bad).tolist():
+                bad[i] = err = _blow_up(int(first_bad[i]))
+                err.window = int(ms[i]) + 1
         if self.scalar:
             return q[:, 0].tolist(), p[:, 0].tolist(), bad
         return q, p, bad

@@ -615,19 +615,21 @@ def _wave(q0, p0, n_init, n, fine, coarse, depth, gap, storage, cap, conv, expl,
         c = np.concatenate((cq[:first], cp[:first]), axis=1)
         boot = ready[0].prev is None  # the bootstrap, when in flight, is the oldest
         up = slot[boot:first], ms[boot:first] + 1  # nodes the corrected rows set
-        prev = np.array([t.prev.slot for t in ready[boot:first]], dtype=np.int64)
         nx = c[boot:] + G[ms[boot:first]]
-        x = X[prev, up[1], :d]
+        # the predecessors' nodes: start() puts iteration k in slot k % slots,
+        # so k - 1 sits one slot below it, and index -1 wraps to the last slot
+        x = X[up[0] - 1, up[1], :d]
         G[ms[:first]] = c
         if boot and first:
             X[slot[0], ms[0] + 1] = c[0]
             ready[0].pos += 1
         X[up] = nx
-        ok = np.isfinite(nx).all(axis=1).tolist()
+        b = len(x)
+        # one test for the whole array; the rows only when it fails
+        ok = [True] * b if np.isfinite(nx).all() else np.isfinite(nx).all(axis=1).tolist()
         # no square overflows: windows keep every component within
         # BLOWUP_LIMIT, and plain callables run at depth 1
         norms = _norms(np.concatenate((nx[:, :d] - x, x))).tolist()
-        b = len(x)
         for i in range(boot, first):
             t, j = ready[i], i - boot
             m = t.pos
@@ -688,17 +690,19 @@ def _wave(q0, p0, n_init, n, fine, coarse, depth, gap, storage, cap, conv, expl,
         if grow and y.pos >= min(n_init + gap, y.follower_end):
             flight.append(start(y.k + 1, y, y.follower_end))
         # a fine call only when a follower ran out of jumps; it then gives
-        # every follower the jumps of all windows its predecessor has reached
-        requests = [
-            (t, t.jumps, b)
-            for t in flight
-            if t.prev is not None and t.error is None and t.fine_error is None
-            and t.jumps < (b := min(t.prev.pos, t.end))
-        ]
-        if any(t.jumps == t.pos for t, _, _ in requests):
-            r = fine_stage(requests)
-            if r is not None:
-                del flight[flight.index(requests[r][0]) + 1 :]
+        # every follower the jumps of all windows its predecessor has reached.
+        # The requests are listed only on steps where one may have.
+        if any(t.jumps == t.pos for t in flight):
+            requests = [
+                (t, t.jumps, b)
+                for t in flight
+                if t.prev is not None and t.error is None and t.fine_error is None
+                and t.jumps < (b := min(t.prev.pos, t.end))
+            ]
+            if any(t.jumps == t.pos for t, _, _ in requests):
+                r = fine_stage(requests)
+                if r is not None:
+                    del flight[flight.index(requests[r][0]) + 1 :]
         ready = [
             t for t in flight
             if t.error is None and t.fine_error is None and not t.done and t.jumps > t.pos

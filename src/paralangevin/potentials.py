@@ -233,16 +233,15 @@ class LennardJonesCluster(Potential):
         u3 = (self._sigma2 / r2) ** 3
         coeff = (self._eps24 * u3 - self._eps48 * u3 * u3) / r2
         pairs = r2.shape[0]
-        table = np.empty((self.space_dim, 2 * pairs + 1) + r2.shape[1:])
+        table = np.zeros((self.space_dim, 2 * pairs + 1) + r2.shape[1:])  # [t, -t, +0.0]
         t = np.multiply(coeff, diff, out=table[:, :pairs])
         np.negative(t, out=table[:, pairs:-1])
-        table[:, -1] = 0.0
         if self.space_dim > 1:  # M laid out (dim, j, i, *rows): a strided j sum
-            force = np.take(table, self._slot, axis=1).sum(axis=1)
+            force = np.add.reduce(table.take(self._slot, axis=1), axis=1)
             return np.ascontiguousarray(force.T).reshape(q.shape)
         # (*rows, i, j): a contiguous j sum, as the dense formula's
         rows = np.ascontiguousarray(np.moveaxis(table[0], 0, -1))
-        return np.take(rows, self._slot.T, axis=-1).sum(axis=-1)
+        return np.add.reduce(rows.take(self._slot.T, axis=-1), axis=-1)
 
 
 @dataclass(frozen=True)

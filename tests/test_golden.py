@@ -192,3 +192,15 @@ def test_result_files_match_golden_hashes(case, tmp_path):
     out_dir = tmp_path / "out"
     assert main([command, "--config", str(config_path), "--out", str(out_dir)]) == 0
     assert _digests(out_dir) == GOLDEN[case]
+
+
+def test_unit_mass_vector_writes_the_bytes_of_no_mass(tmp_path):
+    """``params.mass`` all ones divides by the mass, no mass skips the
+    division; the result files must not tell them apart."""
+    config = _classic_lj7()
+    config["params"]["mass"] = [1.0] * len(config["initial"]["q"])
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    assert main(["parareal", "--config", str(config_path), "--out", str(out_dir)]) == 0
+    assert _digests(out_dir) == GOLDEN["classic-lj7"]

@@ -944,3 +944,76 @@ class TestPlanWindows:
         assert (str(got.value), got.value.substep) == (str(ref.value), ref.value.substep)
         assert (str(row), row.substep) == (str(ref.value), ref.value.substep)
         assert ref.value.substep > 1 if case == "stiff" else ref.value.substep == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_BATCH_CASES)),
+        masses=st.sampled_from(["ones", "vector"]),
+        n_sub=st.integers(1, 3),
+        master=st.integers(0, 2**64 - 1),
+        n_rows=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_rows_and_one_equal_propagate_window_under_masses(
+        self, name, masses, n_sub, master, n_rows, data
+    ):
+        """Explicit masses keep the division by the mass; an all-ones vector
+        gives the bytes of unit masses (``mass`` None) on every path."""
+        pot, d, scale = _BATCH_CASES[name]
+        if masses == "ones":
+            mass = np.ones(d)
+        else:
+            mass = np.array(data.draw(st.lists(st.floats(0.25, 4.0), min_size=d, max_size=d)))
+        params = LangevinParams(gamma=0.7, inv_beta=0.5, dt=0.01, substeps=n_sub, mass=mass)
+        unit = LangevinParams(gamma=0.7, inv_beta=0.5, dt=0.01, substeps=n_sub)
+        schedule = TemperatureSchedule.robust(n_sub)
+        plan = NoisePlan.for_windows(master, n_rows)
+        floats = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=d, max_size=d)
+        starts = [
+            PhaseState(q=_centre(name, d) + scale * np.array(data.draw(floats)), p=np.array(data.draw(floats)))
+            for _ in range(n_rows)
+        ]
+        ms = list(range(n_rows))[::-1]
+        (windows,) = PlanWindows.for_potentials([pot], params, schedule, plan, starts[0])
+        (unit_windows,) = PlanWindows.for_potentials([pot], unit, schedule, plan, starts[0])
+        raw = [windows.raw(s) for s in starts]
+        qs, ps, bad = windows.rows([q for q, _ in raw], [p for _, p in raw], ms)
+        unit_qs, unit_ps, _ = unit_windows.rows([q for q, _ in raw], [p for _, p in raw], ms)
+        assert bad == {}
+        for i, m in enumerate(ms):
+            ref = propagate_window(starts[i], pot, params, schedule, plan.seed_for(m + 1))
+            assert _window_bytes(qs[i], ps[i]) == _window_bytes(ref.q, ref.p)
+            assert _window_bytes(*windows.one(*raw[i], m)) == _window_bytes(ref.q, ref.p)
+            if masses == "ones":
+                assert _window_bytes(unit_qs[i], unit_ps[i]) == _window_bytes(ref.q, ref.p)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_bound_is_tested_after_every_substep(self, d):
+        """A window that leaves the range at substep 1 and is back inside by
+        its end is a blow-up at substep 1 on every path: a test of the window
+        end alone would miss it.  With no friction and no noise the numbers
+        are exact: q1 = 1.5 * 0.9e12 = 1.35e12, then q2 = -3.375e11 and
+        p2 = -8.71875e11."""
+        pot = Harmonic(k=1.0) if d == 1 else Harmonic(k=[1.0, 1.0])
+        params = LangevinParams(gamma=0.0, inv_beta=0.0, dt=1.5, substeps=2)
+        schedule = TemperatureSchedule.identity(2)
+        plan = NoisePlan.for_windows(5, 1)
+        p0 = [0.9e12] + [0.0] * (d - 1)
+        start = PhaseState(q=np.zeros(d), p=p0)
+        with pytest.raises(BlowUpError) as ref:
+            propagate_window(start, pot, params, schedule, plan.seed_for(1))
+        assert ref.value.substep == 1
+        (windows,) = PlanWindows.for_potentials([pot], params, schedule, plan, start)
+        assert windows.scalar == (d == 1)
+        q0, p0 = windows.raw(start)
+        with pytest.raises(BlowUpError) as got:
+            windows.one(q0, p0, 0)
+        assert got.value.substep == 1
+        # a row at rest beside it stays good
+        rest = 0.0 if d == 1 else np.zeros(d)
+        qs, ps, bad = windows.rows([q0, rest], [p0, rest], [0, 0])
+        assert sorted(bad) == [0]
+        assert (bad[0].window, bad[0].substep) == (1, 1)
+        # the bad row is back inside the range at the window end
+        assert np.asarray(qs[0]).flat[0] == -3.375e11
+        assert np.asarray(ps[0]).flat[0] == -8.71875e11
