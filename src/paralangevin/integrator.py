@@ -269,11 +269,11 @@ class PlanWindows:
     advances any set of windows in one batched kernel call.  Both are
     bitwise equal to :func:`propagate_window` with the plan's seed, and the
     noise comes from the plan's cache (:meth:`NoisePlan.noise`), scaled once
-    per plan for all its potentials.  On floats :meth:`one` is the kernel
-    written out in one frame, with the half-step factors formed once: a
-    double-well window of 2 substeps costs about 1.0 us in process, against
-    1.9 us through the kernel's per-substep calls (2-vCPU host,
-    BENCH_5.json).
+    per plan for all its potentials and laid out substep major.  On floats
+    :meth:`one` is the kernel written out in one frame, with the half-step
+    factors formed once: a double-well window of 2 substeps costs about 1.0
+    us in process, against 1.9 us through the kernel's per-substep calls
+    (2-vCPU host, BENCH_5.json).
 
     ``depth`` is how many parareal iterations the engine may keep in flight
     on these windows, 1 on the float path and :data:`_WAVE_DEPTH` on the
@@ -287,7 +287,6 @@ class PlanWindows:
         potential on the plan: block ``l`` of any set of windows is then one
         contiguous ``(B, d)`` gather."""
         self._d = kicks.shape[2]
-        mass = params.mass_vector(self._d)
         self._grad = pot._grad
         self._gamma, self._dt = params.gamma, params.dt
         self._kicks = kicks
@@ -295,7 +294,7 @@ class PlanWindows:
         self.depth = 1 if scalar else _WAVE_DEPTH
         self.gap = _WAVE_GAP
         if scalar:
-            self._mass = float(mass[0])
+            self._mass = float(params.mass_vector(1)[0])
             # the float window's constants, as the array kernel forms them:
             # 0.5 * dt * x is (0.5 * dt) * x
             half_dt = 0.5 * self._dt
